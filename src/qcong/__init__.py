@@ -13,12 +13,11 @@ from .etaq import (
     pochhammer_product,
     regular_overpartition_gf,
 )
-from .series import MAX_ORDER, QSeries, Ring, RingMismatchError, ZZ, congruent_upto, mod_ring
+from .series import QSeries, Ring, RingMismatchError, ZZ, congruent_upto, mod_ring
 
 __all__ = [
     "BiregularSpec",
     "EtaQuotient",
-    "MAX_ORDER",
     "QSeries",
     "Ring",
     "RingMismatchError",

@@ -6,6 +6,10 @@ with finite verification ranges chosen so the deepest coefficient
 needed stays modest; product-of-squares family instances get short
 ranges by necessity.
 
+A claim that restates a derivation record (see ``RESTATES``) is built
+from that record, so its spec, progression, modulus and target are
+written once, in ``derivations``.
+
 ``KNOWN_FAILING`` lists the catalogued statements the engine refutes,
 each with its first counterexample.  All of them sit in the mod-8
 branches of the t-parametrized families at t >= 3, where the final
@@ -23,20 +27,41 @@ from .claims import (
     VanishingClaim,
     instantiate_family,
 )
-from .dissect import expr, mono
+from .derivations import REFUTED, SPEC29, SPEC52, SPEC54, all_derivations
 from .etaq import BiregularSpec
 
-SPEC29 = BiregularSpec(2, 9)
-SPEC52 = BiregularSpec(5, 2)
-SPEC54 = BiregularSpec(5, 4)
-SPEC83 = BiregularSpec(8, 3)
+#: claims that restate a derivation record: claim id -> record id
+RESTATES: dict[str, str] = {
+    "prop3.5a": "eq3.21",
+    "prop3.5b": "eq3.23",
+    **{cid: cid for cid in ("eq13a", "eq3.19", "eq800a", "eq815a1", "eq3.20")},
+    **{f"eq4.7.t{t}": f"eq4.7[t={t}]" for t in (3, 4)},
+    "prop5.1": "eq4.4c",
+    "eq4.4b": "eq4.4b",
+    "prop6a": "eq5.6",
+    "prop6b": "eq5.7",
+    "thm7.1": "eq6.19",
+    "eq28": "eq28",
+    **{f"thm8.1{part}.t{t}": f"{record}[t={t}]" for t in (2, 3)
+       for part, record in (("b", "eq9.8"), ("c", "eq9.10"), ("d", "eq9.11"))},
+    **{f"thm9.1{part}.t{t}": f"{record}[t={t}]" for t in (2, 3)
+       for part, record in (("a", "eq10.9"), ("b", "eq10.10"), ("c", "eq10.11"))},
+    **{f"eq10.8.t{t}": f"eq10.8[t={t}]" for t in (2, 3)},
+}
 
-F1_4 = expr(mono(1, 0, {1: 4}))
-F1F3 = expr(mono(1, 0, {1: 1, 3: 1}))
-F1F5 = expr(mono(1, 0, {1: 1, 5: 1}))
-F1_2 = expr(mono(1, 0, {1: 2}))
-F1_3 = expr(mono(1, 0, {1: 3}))
-EQ3_20_TARGET = expr(mono(1, 0, {2: 2, 6: 2, 1: -1, 3: -1}))
+_RECORDS = {d.id: d for d in all_derivations()}
+
+
+def _restated(claim_id: str, n_max: int, source: str) -> Claim:
+    """Claim ``claim_id`` as its record ``RESTATES[claim_id]`` states it:
+    vanishing when the record's component is zero, else a series
+    congruence with the record's expression as target."""
+    d = _RECORDS[RESTATES[claim_id]]
+    if d.rhs is None:
+        return VanishingClaim(claim_id, d.spec, d.step, d.residue, d.modulus,
+                              n_max, source=source)
+    return SeriesCongruenceClaim(claim_id, d.spec, d.step, d.residue,
+                                 d.modulus, d.rhs, n_max, source=source)
 
 
 def hecke_sign_4_20(p: int) -> int:
@@ -51,10 +76,7 @@ def hecke_sign_4_20(p: int) -> int:
 
 #: statements from the source catalogue that the engine refutes; id -> note
 KNOWN_FAILING: dict[str, str] = {
-    "eq4.7.t3":
-        "B(5,8)(9) = 122 == 2 (mod 8) but 2 f(1)f(5) needs 6; holds mod 4",
-    "eq4.7.t4":
-        "B(5,16)(17) == 4 (mod 8) but 2 f(1)f(5) needs 0; holds mod 4",
+    **{cid: REFUTED[rid] for cid, rid in RESTATES.items() if rid in REFUTED},
     "thm4.10.t3.p3":
         "n=0: B(5,8)(9) == 2 (mod 8) but -B(5,8)(1) == 6; the f(p) = -1 "
         "instances fail mod 8 (f(p) = +1 instances such as p=11 verify)",
@@ -80,29 +102,13 @@ def _catalogue_2_9() -> list[Claim]:
         VanishingClaim("prop3.1b", SPEC29, 6, 5, 8, 80, source=prop_31),
         VanishingClaim("prop3.4a", SPEC29, 12, 7, 8, 80, source=prop_34),
         VanishingClaim("prop3.4b", SPEC29, 12, 1, 2, 80, source=prop_34),
-        VanishingClaim("prop3.5a", SPEC29, 18, 15, 3, 60, source=prop_35),
-        VanishingClaim("prop3.5b", SPEC29, 54, 45, 3, 60, source=prop_35),
-        SeriesCongruenceClaim(
-            "eq13a", SPEC29, 6, 1, 8, 2, F1_4, 80,
-            source="6n+1 component == 2 f(1)^4 mod 8",
-        ),
-        SeriesCongruenceClaim(
-            "eq3.19", SPEC29, 18, 3, 3, 1,
-            expr(mono(1, 0, {2: 3, 3: 2, 1: -2, 6: -1})), 60,
-            source="18n+3 component mod 3 (unreduced form)",
-        ),
-        SeriesCongruenceClaim(
-            "eq800a", SPEC29, 18, 3, 3, 1, F1_4, 60,
-            source="18n+3 component == f(1)^4 mod 3",
-        ),
-        SeriesCongruenceClaim(
-            "eq815a1", SPEC29, 18, 3, 3, 1, F1F3, 60,
-            source="18n+3 component == f(1)f(3) mod 3",
-        ),
-        SeriesCongruenceClaim(
-            "eq3.20", SPEC29, 18, 9, 3, 1, EQ3_20_TARGET, 60,
-            source="18n+9 component mod 3",
-        ),
+        _restated("prop3.5a", 60, prop_35),
+        _restated("prop3.5b", 60, prop_35),
+        _restated("eq13a", 80, "6n+1 component == 2 f(1)^4 mod 8"),
+        _restated("eq3.19", 60, "18n+3 component mod 3 (unreduced form)"),
+        _restated("eq800a", 60, "18n+3 component == f(1)^4 mod 3"),
+        _restated("eq815a1", 60, "18n+3 component == f(1)f(3) mod 3"),
+        _restated("eq3.20", 60, "18n+9 component mod 3"),
         instantiate_family("thm3.2", [5], 1, 25, claim_id="thm3.2.p5.j1"),
         instantiate_family("thm3.2", [5], 2, 25, claim_id="thm3.2.p5.j2"),
         instantiate_family("thm3.2", [5, 11], 1, 3, claim_id="thm3.2.p5p11.j1"),
@@ -148,10 +154,8 @@ def _catalogue_5_2t(t: int) -> list[Claim]:
     spec = BiregularSpec(5, 2**t)
     tag = f"t{t}"
     claims: list[Claim] = [
-        SeriesCongruenceClaim(
-            f"eq4.7.{tag}", spec, 4, 1, 8, 2, F1F5, 80,
-            source=f"4n+1 component == 2 f(1)f(5) mod 8 ({spec})",
-        ),
+        _restated(f"eq4.7.{tag}", 80,
+                  f"4n+1 component == 2 f(1)f(5) mod 8 ({spec})"),
         instantiate_family(
             f"thm4.8.{tag}", [7], 1, 20, claim_id=f"thm4.8.{tag}.p7.j1"
         ),
@@ -191,15 +195,11 @@ def _catalogue_5_2t(t: int) -> list[Claim]:
 def _catalogue_5_2_and_5_4() -> list[Claim]:
     out: list[Claim] = []
     for spec, tag, thm in ((SPEC52, "5.2", "thm18"), (SPEC54, "5.4", "thm5.8")):
-        prop = "prop5.1" if spec == SPEC52 else "prop6a"
         out += [
-            VanishingClaim(prop, spec, 4, 3, 4, 100,
-                           source=f"B{spec}(4n+3) == 0 mod 4"),
-            SeriesCongruenceClaim(
-                "eq4.4b" if spec == SPEC52 else "prop6b",
-                spec, 4, 1, 4, 2, F1F5, 100,
-                source=f"4n+1 component == 2 f(1)f(5) mod 4 ({spec})",
-            ),
+            _restated("prop5.1" if spec == SPEC52 else "prop6a", 100,
+                      f"B{spec}(4n+3) == 0 mod 4"),
+            _restated("eq4.4b" if spec == SPEC52 else "prop6b", 100,
+                      f"4n+1 component == 2 f(1)f(5) mod 4 ({spec})"),
             instantiate_family(thm, [7], 1, 25, claim_id=f"{thm}.p7.j1"),
             instantiate_family(thm, [3, 7], 1, 3, claim_id=f"{thm}.p3p7.j1"),
             MultiplicativeClaim(
@@ -218,10 +218,8 @@ def _catalogue_5_2_and_5_4() -> list[Claim]:
 
 def _catalogue_8_3() -> list[Claim]:
     return [
-        VanishingClaim("thm7.1", SPEC83, 36, 33, 3, 60,
-                       source="B(8,3)(36n+33) == 0 mod 3"),
-        VanishingClaim("eq28", SPEC83, 4, 3, 3, 100,
-                       source="B(8,3)(4n+3) == 0 mod 3 (intermediate step)"),
+        _restated("thm7.1", 60, "B(8,3)(36n+33) == 0 mod 3"),
+        _restated("eq28", 100, "B(8,3)(4n+3) == 0 mod 3 (intermediate step)"),
     ]
 
 
@@ -231,10 +229,10 @@ def _catalogue_4_3t(t: int) -> list[Claim]:
     src = f"five-part theorem for {spec}"
     return [
         VanishingClaim(f"thm8.1a.{tag}", spec, 3, 0, 8, 60, n_min=1, source=src),
-        VanishingClaim(f"thm8.1b.{tag}", spec, 6, 4, 4, 60, source=src),
-        VanishingClaim(f"thm8.1c.{tag}", spec, 12, 7, 4, 60, source=src),
-        SeriesCongruenceClaim(f"thm8.1d.{tag}", spec, 12, 1, 4, 2, F1_2, 60,
-                              source=src + " (12n+1 component == 2 f(1)^2 mod 4)"),
+        _restated(f"thm8.1b.{tag}", 60, src),
+        _restated(f"thm8.1c.{tag}", 60, src),
+        _restated(f"thm8.1d.{tag}", 60,
+                  src + " (12n+1 component == 2 f(1)^2 mod 4)"),
         VanishingClaim(f"thm8.1e.{tag}", spec, 3, 2, 4, 60, source=src),
     ]
 
@@ -244,11 +242,10 @@ def _catalogue_3_2t(t: int) -> list[Claim]:
     tag = f"t{t}"
     src = f"16n+r theorem for {spec}"
     return [
-        VanishingClaim(f"thm9.1a.{tag}", spec, 16, 6, 8, 60, source=src),
-        VanishingClaim(f"thm9.1b.{tag}", spec, 16, 10, 8, 60, source=src),
-        VanishingClaim(f"thm9.1c.{tag}", spec, 16, 14, 8, 60, source=src),
-        SeriesCongruenceClaim(f"eq10.8.{tag}", spec, 16, 2, 8, 4, F1_3, 50,
-                              source=f"16n+2 component == 4 f(1)^3 mod 8 ({spec})"),
+        _restated(f"thm9.1a.{tag}", 60, src),
+        _restated(f"thm9.1b.{tag}", 60, src),
+        _restated(f"thm9.1c.{tag}", 60, src),
+        _restated(f"eq10.8.{tag}", 50, f"16n+2 component == 4 f(1)^3 mod 8 ({spec})"),
     ]
 
 

@@ -10,16 +10,16 @@ first counterexample on failure, and serialize to a versioned JSON schema.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
-from . import series as _series
 from .dissect import SeriesExpr, eval_expr
 from .etaq import BiregularSpec, biregular_gf
-from .series import QSeries, ZZ, mod_ring
+from .series import QSeries, Ring, ZZ, congruent_upto
 
 #: hard sanity bound on the deepest coefficient a catalogue claim may need
 CLAIM_INDEX_LIMIT = 200_000
@@ -72,14 +72,13 @@ class VanishingClaim:
 
 @dataclass(frozen=True)
 class SeriesCongruenceClaim:
-    """sum_n B(spec)(a*n + b) q^n == scalar * target (mod m) to n_max."""
+    """sum_n B(spec)(a*n + b) q^n == target (mod m) to n_max."""
 
     id: str
     spec: BiregularSpec
     a: int
     b: int
     modulus: int
-    scalar: int
     target: SeriesExpr
     n_max: int
     source: str = ""
@@ -94,7 +93,7 @@ class SeriesCongruenceClaim:
 
     def params(self) -> dict:
         return {"spec": str(self.spec), "progression": f"{self.a}n+{self.b}",
-                "modulus": self.modulus, "scalar": self.scalar}
+                "modulus": self.modulus}
 
 
 @dataclass(frozen=True)
@@ -221,68 +220,63 @@ class SeriesCache:
         key = (spec, modulus)
         cached = self._store.get(key)
         if cached is None or cached.order < order:
-            ring = ZZ if modulus is None else mod_ring(modulus)
-            cached = biregular_gf(spec, order, ring)
+            cached = biregular_gf(spec, order, Ring(modulus))
             self._store[key] = cached
         return cached
-
-
-def _ring_modulus(claim: Claim, exact: bool) -> int | None:
-    return None if exact else claim.modulus
 
 
 # ---------------------------------------------------------------------------
 # verifiers
 
 
-def verify_vanishing(
-    claim: VanishingClaim, cache: SeriesCache | None = None, exact: bool = False
-) -> VerificationReport:
-    cache = cache or SeriesCache()
-    t0 = time.perf_counter()
-    gf = cache.series(claim.spec, _ring_modulus(claim, exact), claim.max_index())
+def _verifier(check: Callable):
+    """Turn ``check(claim, gf) -> (status, counterexample, range, note)``
+    into a verifier: fetch the counting series gf from the cache (a fresh
+    one by default) in the claim's ring, time the fetch and the check
+    together, and wrap the outcome in a report."""
+
+    @functools.wraps(check)
+    def verify(
+        claim: Claim, cache: SeriesCache | None = None, exact: bool = False
+    ) -> VerificationReport:
+        cache = cache or SeriesCache()
+        t0 = time.perf_counter()
+        gf = cache.series(claim.spec, None if exact else claim.modulus,
+                          claim.max_index())
+        status, counter, checked, note = check(claim, gf)
+        return VerificationReport(
+            claim.id, claim.kind, status, claim.source, claim.params(),
+            checked, counter, (time.perf_counter() - t0) * 1000, note,
+        )
+
+    return verify
+
+
+@_verifier
+def verify_vanishing(claim: VanishingClaim, gf: QSeries):
     status, counter = "pass", None
     for n in range(claim.n_min, claim.n_max + 1):
         value = gf[claim.a * n + claim.b] % claim.modulus
         if value:
             status, counter = "fail", (n, value)
             break
-    return VerificationReport(
-        claim.id, claim.kind, status, claim.source, claim.params(),
-        f"n in [{claim.n_min}, {claim.n_max}]", counter,
-        (time.perf_counter() - t0) * 1000,
-        note="finite-range check only",
+    return (status, counter, f"n in [{claim.n_min}, {claim.n_max}]",
+            "finite-range check only")
+
+
+@_verifier
+def verify_series_congruence(claim: SeriesCongruenceClaim, gf: QSeries):
+    lhs = gf.truncate(claim.max_index()).extract(claim.a, claim.b)
+    rhs = eval_expr(claim.target, claim.n_max, gf.ring)
+    res = congruent_upto(lhs, rhs, claim.modulus, claim.n_max)
+    counter = None if res else (
+        res.index, lhs[res.index] % claim.modulus, rhs[res.index] % claim.modulus
     )
+    return ("pass" if res else "fail"), counter, f"n in [0, {claim.n_max}]", ""
 
 
-def verify_series_congruence(
-    claim: SeriesCongruenceClaim, cache: SeriesCache | None = None, exact: bool = False
-) -> VerificationReport:
-    cache = cache or SeriesCache()
-    t0 = time.perf_counter()
-    gf = cache.series(claim.spec, _ring_modulus(claim, exact), claim.max_index())
-    ring = gf.ring
-    target = eval_expr(claim.target, claim.n_max, ring).scale(claim.scalar)
-    status, counter = "pass", None
-    for n in range(claim.n_max + 1):
-        lhs = gf[claim.a * n + claim.b] % claim.modulus
-        rhs = target[n] % claim.modulus
-        if lhs != rhs:
-            status, counter = "fail", (n, lhs, rhs)
-            break
-    return VerificationReport(
-        claim.id, claim.kind, status, claim.source, claim.params(),
-        f"n in [0, {claim.n_max}]", counter,
-        (time.perf_counter() - t0) * 1000,
-    )
-
-
-def verify_multiplicative(
-    claim: MultiplicativeClaim, cache: SeriesCache | None = None, exact: bool = False
-) -> VerificationReport:
-    cache = cache or SeriesCache()
-    t0 = time.perf_counter()
-    gf = cache.series(claim.spec, _ring_modulus(claim, exact), claim.max_index())
+@_verifier
+def verify_multiplicative(claim: MultiplicativeClaim, gf: QSeries):
     (a1, b1), (a2, b2) = claim.lhs, claim.rhs
     status, counter = "pass", None
     for n in range(claim.n_max + 1):
@@ -292,27 +286,16 @@ def verify_multiplicative(
             status = "fail"
             counter = (n, lhs % claim.modulus, rhs % claim.modulus)
             break
-    return VerificationReport(
-        claim.id, claim.kind, status, claim.source, claim.params(),
-        f"n in [0, {claim.n_max}]", counter,
-        (time.perf_counter() - t0) * 1000,
-    )
+    return status, counter, f"n in [0, {claim.n_max}]", ""
 
 
-def verify_newman_conditional(
-    claim: NewmanConditionalClaim, cache: SeriesCache | None = None, exact: bool = False
-) -> VerificationReport:
-    cache = cache or SeriesCache()
-    t0 = time.perf_counter()
-    gf = cache.series(claim.spec, _ring_modulus(claim, exact), claim.max_index())
+@_verifier
+def verify_newman_conditional(claim: NewmanConditionalClaim, gf: QSeries):
     hyp = gf[claim.hyp_index] % claim.modulus
     if hyp:
-        return VerificationReport(
-            claim.id, claim.kind, "skipped-hypothesis-false", claim.source,
-            claim.params(), f"hypothesis index {claim.hyp_index}", None,
-            (time.perf_counter() - t0) * 1000,
-            note=f"hypothesis value {hyp} (mod {claim.modulus})",
-        )
+        return ("skipped-hypothesis-false", None,
+                f"hypothesis index {claim.hyp_index}",
+                f"hypothesis value {hyp} (mod {claim.modulus})")
     status, counter = "pass", None
     checked = 0
     for n in range(claim.n_max + 1):
@@ -323,12 +306,8 @@ def verify_newman_conditional(
         if value:
             status, counter = "fail", (n, value)
             break
-    return VerificationReport(
-        claim.id, claim.kind, status, claim.source, claim.params(),
-        f"n in [0, {claim.n_max}], {checked} admissible", counter,
-        (time.perf_counter() - t0) * 1000,
-        note="hypothesis engine-evaluated true",
-    )
+    return (status, counter, f"n in [0, {claim.n_max}], {checked} admissible",
+            "hypothesis engine-evaluated true")
 
 
 _VERIFIERS = {
@@ -500,7 +479,7 @@ def search_congruences(
 def reports_to_json(reports: Sequence[VerificationReport]) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "engine": {"max_order": _series.MAX_ORDER},
+        "engine": {"max_order": CLAIM_INDEX_LIMIT},
         "claims": [
             {
                 "id": r.claim_id,

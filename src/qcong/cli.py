@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import __version__
 from .arith import is_holomorphic, modularity_check
 from .claims import reports_to_json, run_catalogue, search_congruences, verify_claim
+from .derivations import REFUTED, all_derivations, verify_derivation
 from .dissect import identity_ids, load_catalogue, verify_identity, verify_lemma_2_9
 from .etaq import (
     BiregularSpec,
@@ -134,8 +136,9 @@ def cmd_verify_all(args) -> int:
     for report in reports:
         print(report.line())
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(reports_to_json(reports))
+        path = Path(args.json)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(reports_to_json(reports))
         print(f"# wrote {args.json}")
     failed = sum(not r.ok for r in reports)
     passed = sum(r.status == "pass" for r in reports)
@@ -143,6 +146,23 @@ def cmd_verify_all(args) -> int:
     print(f"# {passed} passed, {failed} failed, {skipped} skipped "
           f"of {len(reports)} claims")
     return 1 if failed else 0
+
+
+def cmd_verify_derivations(args) -> int:
+    records = all_derivations()
+    surprises = 0
+    for record in records:
+        res = verify_derivation(record, n_terms=args.terms)
+        if record.id in REFUTED:
+            status = "UNEXPECTED PASS" if res else "REFUTED (documented)"
+        else:
+            status = "ok" if res else f"FAIL at n={res.index}"
+        surprises += bool(res) == (record.id in REFUTED)
+        mod = f" mod {record.modulus}" if record.modulus else ""
+        print(f"{record.id:16s} {record.spec!s:8s} "
+              f"{record.step}n+{record.residue}{mod}: {status}")
+    print(f"# {len(records)} records, {surprises} undocumented passes or failures")
+    return 1 if surprises else 0
 
 
 def cmd_oracle_compare(args) -> int:
@@ -203,18 +223,18 @@ def cmd_modform_check(args) -> int:
 
 
 def cmd_search(args) -> int:
-    spec = _parse_spec(args.spec)
+    specs = [_parse_spec(text) for text in args.spec]
     moduli = [int(m) for m in args.mods.split(",")]
-    try:
+    found = 0
+    for spec in specs:
         hits = search_congruences(spec, args.amax, moduli, args.nmax,
                                   min_evidence=args.min_evidence)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    for hit in hits:
-        tag = "known" if hit.known else "candidate"
-        print(f"B{spec}({hit.a}n+{hit.b}) == 0 (mod {hit.modulus})"
-              f"  [n <= {hit.n_checked - 1}, {tag}]")
-    print(f"# {len(hits)} congruence patterns found")
+        for hit in hits:
+            tag = "known" if hit.known else "candidate"
+            print(f"B{spec}({hit.a}n+{hit.b}) == 0 (mod {hit.modulus})"
+                  f"  [n <= {hit.n_checked - 1}, {tag}]")
+        found += len(hits)
+    print(f"# {found} congruence patterns found")
     return 0
 
 
@@ -261,6 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", choices=["exact", "mod"], default="mod")
     p.set_defaults(func=cmd_verify_all)
 
+    p = sub.add_parser("verify-derivations", help="replay every derivation-chain "
+                                                  "record; only undocumented "
+                                                  "outcomes fail")
+    p.add_argument("--terms", type=int, default=45,
+                   help="coefficients checked per record")
+    p.set_defaults(func=cmd_verify_derivations)
+
     p = sub.add_parser("oracle-compare", help="series vs brute-force counts")
     p.add_argument("--spec", required=True, help="L1,L2")
     p.add_argument("--nmax", type=int, default=40)
@@ -279,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_modform_check)
 
     p = sub.add_parser("search", help="search a box for vanishing congruences")
-    p.add_argument("--spec", required=True, help="L1,L2")
+    p.add_argument("--spec", required=True, action="append",
+                   help="L1,L2; repeat to search several pairs")
     p.add_argument("--amax", type=int, required=True)
     p.add_argument("--mods", required=True, help="comma-separated moduli")
     p.add_argument("--nmax", type=int, default=60)

@@ -15,6 +15,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Mapping
 
+from .arith import is_prime
 from .etaq import expand_monomial, pochhammer
 from .series import CheckResult, QSeries, Ring, ZZ, congruent_upto, mod_ring
 
@@ -150,24 +151,17 @@ def verify_identity(
         if ident not in catalogue:
             raise KeyError(f"unknown identity id {ident!r}")
         ident = catalogue[ident]
-    if ident.kind == "congruence":
-        ring = mod_ring(ident.modulus)
-        lhs = eval_expr(ident.lhs, order, ring)
-        rhs = eval_expr(ident.rhs, order, ring)
-        return congruent_upto(lhs, rhs, ident.modulus, order)
-    lhs = eval_expr(ident.lhs, order, ZZ)
-    rhs = eval_expr(ident.rhs, order, ZZ)
-    for n in range(order + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            return CheckResult(
-                False, n, f"{ident.id}: {lhs.coeffs[n]} != {rhs.coeffs[n]} at q^{n}"
-            )
-    return CheckResult(True, None, f"{ident.id}: exact through q^{order}")
+    modulus = ident.modulus if ident.kind == "congruence" else None
+    ring = Ring(modulus)
+    lhs = eval_expr(ident.lhs, order, ring)
+    rhs = eval_expr(ident.rhs, order, ring)
+    res = congruent_upto(lhs, rhs, modulus, order)
+    return CheckResult(res.ok, res.index, f"{ident.id}: {res.detail}")
 
 
 def verify_lemma_2_9(p: int, k: int, m: int, order: int = 150) -> CheckResult:
     """f(p*m)^{p^(k-1)} == f(m)^{p^k}  (mod p^k), coefficientwise."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if k < 1 or m < 1:
         raise ValueError("need k >= 1 and m >= 1")
@@ -194,7 +188,7 @@ def verify_dissection_consistency(
     """
     if len(components) != k:
         raise ValueError(f"need exactly {k} components, got {len(components)}")
-    ring = ZZ if modulus is None else mod_ring(modulus)
+    ring = Ring(modulus)
     full = eval_expr(f, order, ring)
     for r in range(k):
         got = full.extract(k, r)
@@ -203,14 +197,8 @@ def verify_dissection_consistency(
             if components[r] is None
             else eval_expr(components[r], got.order, ring)
         )
-        check = congruent_upto(got, want, modulus, got.order) if modulus else None
-        if modulus is None:
-            for n in range(got.order + 1):
-                if got.coeffs[n] != want.coeffs[n]:
-                    return CheckResult(
-                        False, n, f"component {r}: mismatch at coefficient {n}"
-                    )
-        elif not check:
+        check = congruent_upto(got, want, modulus, got.order)
+        if not check:
             return CheckResult(
                 False, check.index, f"component {r}: {check.detail}"
             )

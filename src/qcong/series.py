@@ -11,11 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-#: Soft engine envelope.  ``dilate`` caps its result order here unless the
-#: caller supplies an explicit cap; verification drivers that need deeper
-#: truncations pass one (see claims catalogue for the two-prime instances).
-MAX_ORDER = 20000
-
 # len(a) * len(b) below which naive convolution beats integer packing.
 _SCHOOLBOOK_CUTOFF = 4096
 
@@ -302,13 +297,14 @@ class QSeries:
     # -- reindexing --------------------------------------------------------
 
     def dilate(self, k: int, cap: int | None = None) -> QSeries:
-        """Substitute q -> q^k; result order = order*k, capped."""
+        """Substitute q -> q^k; result order = order*k, capped if ``cap``."""
         if k < 1:
             raise ValueError(f"dilation factor must be >= 1, got {k}")
         if k == 1:
             return self
-        limit = cap if cap is not None else MAX_ORDER
-        n_out = min(self.order * k, max(limit, self.order))
+        n_out = self.order * k
+        if cap is not None:
+            n_out = min(n_out, max(cap, self.order))
         out = [0] * (n_out + 1)
         for i, c in enumerate(self.coeffs):
             j = i * k
@@ -354,27 +350,35 @@ class QSeries:
         return QSeries(ring, tuple(c % m for c in self.coeffs))
 
 
-def congruent_upto(a: QSeries, b: QSeries, m: int, n_max: int) -> CheckResult:
-    """Do a and b agree coefficientwise mod m for all n <= n_max?
+def congruent_upto(
+    a: QSeries, b: QSeries, m: int | None, n_max: int
+) -> CheckResult:
+    """Do a and b agree coefficientwise for all n <= n_max?
 
-    Comparison tolerates differing rings as long as residues mod m are
-    well defined (exact, or ZZ/m'ZZ with m | m').
+    With a modulus the comparison is mod m and tolerates differing rings as
+    long as residues mod m are well defined (exact, or ZZ/m'ZZ with m | m').
+    With ``m=None`` it is exact, and both series must share one ring.
     """
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    for s in (a, b):
-        if s.ring.modulus is not None and s.ring.modulus % m != 0:
-            raise RingMismatchError(
-                f"series in {s.ring!r} has no well-defined residues mod {m}"
-            )
+    if m is None:
+        a._require_same_ring(b)
+    else:
+        if m < 2:
+            raise ValueError(f"modulus must be >= 2, got {m}")
+        for s in (a, b):
+            if s.ring.modulus is not None and s.ring.modulus % m != 0:
+                raise RingMismatchError(
+                    f"series in {s.ring!r} has no well-defined residues mod {m}"
+                )
     if n_max > min(a.order, b.order):
         raise ValueError(
             f"n_max {n_max} exceeds certified orders "
             f"({a.order}, {b.order})"
         )
+    how = "exactly" if m is None else f"mod {m}"
     for n in range(n_max + 1):
-        ra = a.coeffs[n] % m
-        rb = b.coeffs[n] % m
+        ra, rb = a.coeffs[n], b.coeffs[n]
+        if m is not None:
+            ra, rb = ra % m, rb % m
         if ra != rb:
-            return CheckResult(False, n, f"residues {ra} vs {rb} (mod {m})")
-    return CheckResult(True, None, f"agree mod {m} through n={n_max}")
+            return CheckResult(False, n, f"{ra} vs {rb} at n={n} ({how})")
+    return CheckResult(True, None, f"agree {how} through n={n_max}")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qcong.catalogue import KNOWN_FAILING, builtin_catalogue, claim_by_id
+from qcong.catalogue import KNOWN_FAILING, RESTATES, builtin_catalogue, claim_by_id
 from qcong.claims import (
     MultiplicativeClaim,
     NewmanConditionalClaim,
@@ -19,6 +19,7 @@ from qcong.claims import (
     verify_series_congruence,
     verify_vanishing,
 )
+from qcong.derivations import REFUTED, all_derivations, verify_derivation
 from qcong.dissect import expr
 from qcong.etaq import BiregularSpec
 
@@ -67,6 +68,32 @@ class TestSeriesCongruence:
 
         weakened = replace(claim_by_id("eq4.7.t3"), id="eq4.7.t3@4", modulus=4)
         assert verify_series_congruence(weakened).status == "pass"
+
+
+class TestRestatedClaims:
+    RECORDS = {d.id: d for d in all_derivations()}
+
+    @pytest.mark.parametrize("claim_id", sorted(RESTATES))
+    def test_claim_agrees_with_its_record(self, claim_id):
+        from dataclasses import replace
+
+        claim, record = claim_by_id(claim_id), self.RECORDS[RESTATES[claim_id]]
+        assert (claim.spec, claim.a, claim.b, claim.modulus) == (
+            record.spec, record.step, record.residue, record.modulus)
+        if record.rhs is None:
+            assert isinstance(claim, VanishingClaim) and claim.n_min == 0
+        else:
+            assert isinstance(claim, SeriesCongruenceClaim)
+            assert claim.target == record.rhs
+        # the claim runner and the derivation replay reach the same verdict
+        report = verify_claim(replace(claim, n_max=20))
+        assert report.ok == bool(verify_derivation(record, n_terms=20))
+        assert report.ok == (claim_id not in KNOWN_FAILING)
+
+    def test_known_failing_carries_record_refutations(self):
+        for claim_id, record_id in RESTATES.items():
+            if record_id in REFUTED:
+                assert KNOWN_FAILING[claim_id] == REFUTED[record_id]
 
 
 class TestMultiplicative:

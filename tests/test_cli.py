@@ -77,6 +77,11 @@ class TestVerifyAll:
         assert {c["id"] for c in doc["claims"]} == {"thm7.1", "eq28"}
         assert all(c["status"] == "pass" for c in doc["claims"])
 
+    def test_json_report_directory_is_created(self, tmp_path, capsys):
+        path = tmp_path / "reports" / "claims.json"
+        assert run(["verify-all", "--filter", "(8,3)", "--json", str(path)]) == 0
+        assert len(json.loads(path.read_text())["claims"]) == 2
+
     def test_skips_do_not_fail_exit_code(self, capsys):
         assert run(["verify-all", "--filter", "thm10a"]) == 0
         out = capsys.readouterr().out
@@ -109,6 +114,22 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "B(2,9)(6n+3) == 0 (mod 4)" in out
         assert "known" in out
+
+    def test_search_several_specs(self, capsys):
+        assert run(["search", "--spec", "2,9", "--spec", "5,2", "--amax", "4",
+                    "--mods", "4", "--nmax", "30"]) == 0
+        out = capsys.readouterr().out
+        assert "B(2,9)(4n+3) == 0 (mod 4)" in out
+        assert "B(5,2)(4n+3) == 0 (mod 4)" in out
+        assert "# 2 congruence patterns found" in out
+
+    def test_verify_derivations_documented_refutations(self, capsys):
+        assert run(["verify-derivations", "--terms", "20"]) == 0
+        out = capsys.readouterr().out
+        refuted = [line.split()[0] for line in out.splitlines()
+                   if line.endswith("REFUTED (documented)")]
+        assert refuted == ["eq4.7[t=3]", "eq4.7[t=4]", "eq9.5[t=3]"]
+        assert "0 undocumented" in out
 
     def test_search_rejects_unit_modulus(self, capsys):
         assert run(["search", "--spec", "2,9", "--amax", "4",

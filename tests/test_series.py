@@ -153,6 +153,21 @@ class TestCongruentUpto:
             congruent_upto(a, a, 8, 1)
         assert congruent_upto(a, a, 2, 1)
 
+    def test_exact_reports_first_differing_index(self):
+        a, b = S([1, 2, 3, 4, 5]), S([1, 2, 7, 4, 9])
+        res = congruent_upto(a, b, None, 4)
+        assert not res and res.index == 2
+        assert congruent_upto(a, b, None, 1)
+        # 3 and 7 agree mod 4, so the mod-4 check only fails at n=4
+        assert congruent_upto(a, b, 4, 4).index is None
+        assert congruent_upto(a, S([1, 2, 7, 4, 10]), 4, 4).index == 4
+
+    def test_exact_requires_same_ring(self):
+        a = S([1, 2, 3])
+        with pytest.raises(RingMismatchError):
+            congruent_upto(a, S([1, 2, 3], mod_ring(5)), None, 2)
+        assert congruent_upto(S([1, 2], mod_ring(5)), S([6, 7], mod_ring(5)), None, 1)
+
 
 # ---------------------------------------------------------------------------
 # property tests
