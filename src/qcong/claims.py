@@ -14,12 +14,12 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, Union
 
 from .dissect import SeriesExpr, eval_expr
 from .etaq import BiregularSpec, biregular_gf
-from .series import QSeries, Ring, ZZ, congruent_upto
+from .series import QSeries, Ring, congruent_upto
 
 #: hard sanity bound on the deepest coefficient a catalogue claim may need
 CLAIM_INDEX_LIMIT = 200_000
@@ -210,19 +210,22 @@ class VerificationReport:
         return f"[{mark}] {self.claim_id:24s} {self.range_checked}{extra}"
 
 
-class SeriesCache:
-    """Read-only cache of counting series keyed by (spec, modulus-or-exact)."""
+def build_series(
+    claims: Iterable[Claim], exact: bool = False
+) -> dict[BiregularSpec, QSeries]:
+    """Build, once per spec, the counting series the claims on it need.
 
-    def __init__(self) -> None:
-        self._store: dict[tuple, QSeries] = {}
-
-    def series(self, spec: BiregularSpec, modulus: int | None, order: int) -> QSeries:
-        key = (spec, modulus)
-        cached = self._store.get(key)
-        if cached is None or cached.order < order:
-            cached = biregular_gf(spec, order, Ring(modulus))
-            self._store[key] = cached
-        return cached
+    Each series reaches the deepest index its claims read.  It lies in ZZ
+    when ``exact``, else in ZZ/LZ with L the lcm of the claims' moduli:
+    every check reduces mod its claim's modulus, which divides L.
+    """
+    plan: dict[BiregularSpec, tuple[int, int]] = {}
+    for claim in claims:
+        order, lcm = plan.get(claim.spec, (0, 1))
+        plan[claim.spec] = (max(order, claim.max_index()),
+                            math.lcm(lcm, claim.modulus))
+    return {spec: biregular_gf(spec, order, Ring(None if exact else lcm))
+            for spec, (order, lcm) in plan.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +234,17 @@ class SeriesCache:
 
 def _verifier(check: Callable):
     """Turn ``check(claim, gf) -> (status, counterexample, range, note)``
-    into a verifier: fetch the counting series gf from the cache (a fresh
-    one by default) in the claim's ring, time the fetch and the check
-    together, and wrap the outcome in a report."""
+    into a verifier: check the claim against the counting series gf (built
+    for this claim alone when not given), time the check alone, and wrap
+    the outcome in a report."""
 
     @functools.wraps(check)
     def verify(
-        claim: Claim, cache: SeriesCache | None = None, exact: bool = False
+        claim: Claim, gf: QSeries | None = None, exact: bool = False
     ) -> VerificationReport:
-        cache = cache or SeriesCache()
+        if gf is None:
+            gf = build_series([claim], exact)[claim.spec]
         t0 = time.perf_counter()
-        gf = cache.series(claim.spec, None if exact else claim.modulus,
-                          claim.max_index())
         status, counter, checked, note = check(claim, gf)
         return VerificationReport(
             claim.id, claim.kind, status, claim.source, claim.params(),
@@ -319,9 +321,9 @@ _VERIFIERS = {
 
 
 def verify_claim(
-    claim: Claim, cache: SeriesCache | None = None, exact: bool = False
+    claim: Claim, gf: QSeries | None = None, exact: bool = False
 ) -> VerificationReport:
-    return _VERIFIERS[type(claim)](claim, cache, exact)
+    return _VERIFIERS[type(claim)](claim, gf, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +409,21 @@ def run_catalogue(
     n_max_override: int | None = None,
     exact: bool = False,
 ) -> list[VerificationReport]:
-    """Verify claims in catalogue order; deterministic report list."""
+    """Verify claims in catalogue order; deterministic report list.
+    Each spec's series is built once, before the first check."""
     from .catalogue import builtin_catalogue
 
     if claims is None:
         claims = builtin_catalogue()
-    cache = SeriesCache()
-    reports = []
-    for claim in claims:
-        if filter_substring and (
-            filter_substring not in claim.id
-            and filter_substring not in str(claim.spec)
-        ):
-            continue
-        if n_max_override is not None and n_max_override < claim.n_max:
-            claim = _with_n_max(claim, n_max_override)
-        reports.append(verify_claim(claim, cache, exact))
-    return reports
-
-
-def _with_n_max(claim: Claim, n_max: int) -> Claim:
-    from dataclasses import replace
-
-    return replace(claim, n_max=n_max)
+    chosen = [
+        claim if n_max_override is None
+        else replace(claim, n_max=min(claim.n_max, n_max_override))
+        for claim in claims
+        if not filter_substring or filter_substring in claim.id
+        or filter_substring in str(claim.spec)
+    ]
+    series = build_series(chosen, exact)
+    return [verify_claim(claim, series[claim.spec], exact) for claim in chosen]
 
 
 @dataclass(frozen=True)
@@ -448,7 +442,10 @@ def search_congruences(
     n_max: int,
     min_evidence: int = 10,
 ) -> list[SearchHit]:
-    """All (a <= a_max, b < a, m) with B(spec)(a*n+b) == 0 (mod m), n <= n_max."""
+    """All (a <= a_max, b < a, m) with B(spec)(a*n+b) == 0 (mod m), n <= n_max.
+    The series is built once, mod the lcm of the moduli."""
+    if not moduli:
+        raise ValueError("need at least one modulus")
     for m in moduli:
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
@@ -461,7 +458,7 @@ def search_congruences(
         for c in builtin_catalogue()
         if isinstance(c, VanishingClaim) and c.spec == spec and c.n_min == 0
     }
-    gf = biregular_gf(spec, a_max * (n_max + 1), ZZ)
+    gf = biregular_gf(spec, a_max * (n_max + 1), Ring(math.lcm(*moduli)))
     hits = []
     for a in range(1, a_max + 1):
         for b in range(a):

@@ -331,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc.code}", file=sys.stderr)
             return USAGE_ERROR
         return exc.code if exc.code is not None else 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

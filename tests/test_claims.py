@@ -6,9 +6,9 @@ from qcong.catalogue import KNOWN_FAILING, RESTATES, builtin_catalogue, claim_by
 from qcong.claims import (
     MultiplicativeClaim,
     NewmanConditionalClaim,
-    SeriesCache,
     SeriesCongruenceClaim,
     VanishingClaim,
+    build_series,
     instantiate_family,
     reports_to_json,
     run_catalogue,
@@ -21,7 +21,8 @@ from qcong.claims import (
 )
 from qcong.derivations import REFUTED, all_derivations, verify_derivation
 from qcong.dissect import expr
-from qcong.etaq import BiregularSpec
+from qcong.etaq import BiregularSpec, biregular_gf
+from qcong.series import ZZ, Ring
 
 SPEC29 = BiregularSpec(2, 9)
 SPEC52 = BiregularSpec(5, 2)
@@ -188,12 +189,49 @@ class TestRunner:
             "prop3.1a", "prop3.1b", "prop3.4a", "prop3.5a", "prop5.1",
             "thm7.1", "eq28", "thm9.1a.t2", "thm8.1e.t2", "eq13a",
         ]
-        cache_mod, cache_exact = SeriesCache(), SeriesCache()
         for claim_id in sample:
             claim = claim_by_id(claim_id)
-            mod_report = verify_claim(claim, cache_mod, exact=False)
-            exact_report = verify_claim(claim, cache_exact, exact=True)
+            mod_report = verify_claim(claim, exact=False)
+            exact_report = verify_claim(claim, exact=True)
             assert mod_report.status == exact_report.status == "pass", claim_id
+
+    def test_rings_agree_on_catalogue(self):
+        # every claim cheap enough for the exact ring: same status and witness
+        chosen = [c for c in builtin_catalogue() if c.max_index() <= 2500]
+        outcomes = [
+            [(r.claim_id, r.status, r.counterexample)
+             for r in run_catalogue(chosen, exact=exact)]
+            for exact in (False, True)
+        ]
+        assert len(outcomes[0]) == len(chosen)
+        assert outcomes[0] == outcomes[1]
+
+
+class TestBuildSeries:
+    CLAIMS = [
+        VanishingClaim("m3", SPEC29, 18, 5, 3, 20),
+        VanishingClaim("m8", SPEC29, 6, 5, 8, 30),
+        MultiplicativeClaim("m4", SPEC29, (12, 7), (6, 1), 1, 4, 10),
+        VanishingClaim("other", SPEC52, 4, 3, 4, 25),
+    ]
+
+    def test_one_series_per_spec_mod_lcm(self):
+        series = build_series(self.CLAIMS)
+        assert set(series) == {SPEC29, SPEC52}
+        assert series[SPEC29].ring == Ring(24)
+        assert series[SPEC29].order == 18 * 20 + 5
+        assert series[SPEC52].ring == Ring(4)
+        assert series[SPEC52].order == 4 * 25 + 3
+
+    def test_exact_plan_builds_in_zz(self):
+        series = build_series(self.CLAIMS, exact=True)
+        assert {spec: (gf.ring, gf.order) for spec, gf in series.items()} == {
+            SPEC29: (ZZ, 365), SPEC52: (ZZ, 103)}
+
+    def test_residues_match_exact_series(self):
+        series = build_series(self.CLAIMS)[SPEC29]
+        exact = biregular_gf(SPEC29, series.order, ZZ)
+        assert series.coeffs == tuple(c % 24 for c in exact.coeffs)
 
 
 class TestSearch:
@@ -220,6 +258,23 @@ class TestSearch:
     def test_trivial_modulus_rejected(self):
         with pytest.raises(ValueError):
             search_congruences(SPEC29, 4, [1], 30)
+
+    def test_matches_direct_exact_scan(self):
+        a_max, n_max, moduli = 9, 25, (3, 8)
+        gf = biregular_gf(SPEC29, a_max * (n_max + 1), ZZ)
+        expected = [
+            (a, b, m)
+            for a in range(1, a_max + 1)
+            for b in range(a)
+            for m in moduli
+            if all(gf[a * n + b] % m == 0 for n in range(n_max + 1))
+        ]
+        hits = search_congruences(SPEC29, a_max, moduli, n_max)
+        assert expected and [(h.a, h.b, h.modulus) for h in hits] == expected
+
+    def test_empty_moduli_rejected(self):
+        with pytest.raises(ValueError):
+            search_congruences(SPEC29, 4, [], 30)
 
 
 class TestReports:

@@ -82,6 +82,11 @@ class TestVerifyAll:
         assert run(["verify-all", "--filter", "(8,3)", "--json", str(path)]) == 0
         assert len(json.loads(path.read_text())["claims"]) == 2
 
+    def test_unwritable_json_path_is_usage_error(self, tmp_path, capsys):
+        assert run(["verify-all", "--filter", "(8,3)", "--nmax", "5",
+                    "--json", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_skips_do_not_fail_exit_code(self, capsys):
         assert run(["verify-all", "--filter", "thm10a"]) == 0
         out = capsys.readouterr().out
