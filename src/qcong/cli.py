@@ -54,8 +54,6 @@ def _parse_eta(text: str) -> EtaQuotient:
             delta, r = piece.split(":")
             terms[int(delta)] = int(r)
         return EtaQuotient.of(terms)
-    except SystemExit:
-        raise
     except Exception as exc:
         raise SystemExit(f"bad --eta {text!r}: {exc}")
 
@@ -318,12 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors already
-        raise exc
+    # argparse exits 2 on a usage error itself
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:

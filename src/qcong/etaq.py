@@ -64,10 +64,6 @@ class EtaQuotient:
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
 
-    def weight_numerator(self) -> int:
-        """2k = sum of exponents."""
-        return sum(r for _, r in self.terms)
-
 
 def _pentagonal_coeffs(order: int) -> list[int]:
     # Euler: prod (1-q^n) = sum_{k in Z} (-1)^k q^{k(3k-1)/2}

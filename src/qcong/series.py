@@ -87,46 +87,46 @@ def _conv_schoolbook(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
-    buf = bytearray(len(coeffs) * width)
-    pos = 0
+    # sum(c_i * 2^(8*width*i)) as one signed integer
+    pos = bytearray(len(coeffs) * width)
+    neg = bytearray(len(coeffs) * width)
+    at = 0
     for c in coeffs:
-        if c:
-            buf[pos : pos + width] = c.to_bytes(width, "little")
-        pos += width
-    return int.from_bytes(buf, "little")
+        if c > 0:
+            pos[at : at + width] = c.to_bytes(width, "little")
+        elif c:
+            neg[at : at + width] = (-c).to_bytes(width, "little")
+        at += width
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _unpack(value: int, width: int, count: int) -> list[int]:
-    value &= (1 << (8 * width * count)) - 1  # drop slots beyond the truncation
-    raw = value.to_bytes(count * width, "little")
+    # Slot values must lie in (-half, half).  Adding half to each kept slot
+    # makes it non-negative, so no slot borrows from the one above it;
+    # borrows only travel upward, so the mask drops the rest cleanly.
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    size = width * count
+    raw = ((value + offset) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
     return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little")
-        for i in range(count)
+        int.from_bytes(raw[at : at + width], "little") - half
+        for at in range(0, size, width)
     ]
 
 
 def _conv_kronecker(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
     # Exact integer convolution via Kronecker substitution: pack each
     # operand into one big integer with fixed-width slots and let CPython's
-    # subquadratic big-int multiply do the convolution.  Signed inputs are
-    # split into positive/negative parts so slots never interfere.
+    # subquadratic big-int multiply do the convolution.  Every output
+    # coefficient is bounded by max|a| * max|b| * min(len), and the width
+    # keeps one spare bit so that bound fits a signed slot.
     max_a = max(abs(x) for x in a)
     max_b = max(abs(x) for x in b)
     if max_a == 0 or max_b == 0:
         return [0] * (n_out + 1)
-    terms = min(len(a), len(b))
-    bound = 2 * max_a * max_b * terms
-    width = (bound.bit_length() + 7) // 8
-
-    a_pos = _pack([x if x > 0 else 0 for x in a], width)
-    a_neg = _pack([-x if x < 0 else 0 for x in a], width)
-    b_pos = _pack([x if x > 0 else 0 for x in b], width)
-    b_neg = _pack([-x if x < 0 else 0 for x in b], width)
-
-    count = n_out + 1
-    plus = _unpack(a_pos * b_pos + a_neg * b_neg, width, count)
-    minus = _unpack(a_pos * b_neg + a_neg * b_pos, width, count)
-    return [p - m for p, m in zip(plus, minus)]
+    bound = max_a * max_b * min(len(a), len(b))
+    width = (bound.bit_length() + 8) // 8
+    return _unpack(_pack(a, width) * _pack(b, width), width, n_out + 1)
 
 
 def _mul_coeffs(a: Sequence[int], b: Sequence[int], n_out: int, ring: Ring) -> list[int]:
@@ -256,10 +256,6 @@ class QSeries:
             self.ring,
             tuple(red(x - y) for x, y in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])),
         )
-
-    def __neg__(self) -> QSeries:
-        red = self.ring.reduce
-        return QSeries(self.ring, tuple(red(-x) for x in self.coeffs))
 
     def scale(self, c: int) -> QSeries:
         red = self.ring.reduce

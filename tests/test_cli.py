@@ -87,6 +87,12 @@ class TestVerifyAll:
                     "--json", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_argparse_usage_error_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify-all", "--ring", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_skips_do_not_fail_exit_code(self, capsys):
         assert run(["verify-all", "--filter", "thm10a"]) == 0
         out = capsys.readouterr().out

@@ -241,3 +241,27 @@ def test_kronecker_matches_schoolbook():
         b = [rng.randint(-10**6, 10**6) for _ in range(lb)]
         n_out = min(la, lb) - 1
         assert _conv_kronecker(a, b, n_out) == _conv_schoolbook(a, b, n_out)
+
+    big = 10**40
+    cases = [
+        ([-rng.randint(1, 10**6) for _ in range(90)],
+         [rng.randint(-10**6, 10**6) for _ in range(70)]),  # all negative
+        ([0] * 80, [rng.randint(-10**6, 10**6) for _ in range(80)]),  # all zero
+        # equal extremes: the middle slots reach exactly the width bound
+        ([big] * 100, [big] * 100),
+        ([-big] * 100, [big] * 100),
+        # 362^2 * 64 is just below 2^23, the most 3-byte signed slots hold
+        ([-362] * 64, [362] * 64),
+        ([362] * 64, [362] * 64),
+        # 511^2 * 64 has 24 bits, so the sign bit needs a fourth byte
+        ([-511] * 64, [511] * 64),
+        # non-negative residues mod 24, above the schoolbook cutoff
+        ([rng.randint(0, 23) for _ in range(300)],
+         [rng.randint(0, 23) for _ in range(250)]),
+        ([23] * 300, [23] * 300),
+    ]
+    for a, b in cases:
+        full = len(a) + len(b) - 2
+        for n_out in (0, min(len(a), len(b)) // 2, min(len(a), len(b)) - 1,
+                      full, full + 7):
+            assert _conv_kronecker(a, b, n_out) == _conv_schoolbook(a, b, n_out)
