@@ -1,8 +1,13 @@
 """q-Pochhammer symbols, eta-quotients, and overpartition generating functions.
 
-``f(m)`` denotes the infinite product prod_{n>=1} (1 - q^{mn}).  The
-production expansion of f(1) uses the pentagonal-number sparse form; the
-dense finite product is kept as an independent cross-check path.
+``f(m)`` denotes the infinite product prod_{n>=1} (1 - q^{mn}).  Products
+of f(m) expand f(1) by the pentagonal-number sparse form; the dense finite
+product is kept as an independent cross-check path.  The biregular
+counting series is built from theta functions instead: with
+phi(-q^l) = f(l)^2/f(2l), its eta-product is a quotient of four sparse
+phi factors (see ``biregular_gf``), and the eta-product expansion
+(``pochhammer_product(biregular_factors(spec), ...)``) is kept as its
+cross-check.
 """
 
 from __future__ import annotations
@@ -185,10 +190,58 @@ def biregular_factors(spec: BiregularSpec) -> dict[int, int]:
     )
 
 
+def _theta_terms(l: int, order: int) -> list[tuple[int, int]]:
+    """(exponent, coefficient) of each nonzero term through q^order of
+    phi(-q^l) = f(l)^2/f(2l) = 1 + 2 sum_{k>=1} (-1)^k q^{l k^2}."""
+    terms = [(0, 1)]
+    k = 1
+    while l * k * k <= order:
+        terms.append((l * k * k, 2 if k % 2 == 0 else -2))
+        k += 1
+    return terms
+
+
+def _theta_product(l1: int, l2: int, order: int) -> list[int]:
+    """Coefficients of phi(-q^l1) phi(-q^l2) through q^order, over ZZ."""
+    out = [0] * (order + 1)
+    for i, a in _theta_terms(l1, order):
+        for j, b in _theta_terms(l2, order - i):
+            out[i + j] += a * b
+    return out
+
+
+def _divide_by_theta(coeffs: list[int], l: int, ring: Ring) -> None:
+    """Replace coeffs by coeffs / phi(-q^l) in ``ring``, in place.
+
+    Ascending: once c[m] holds the quotient for every m < n, the quotient
+    at n is c[n] less the phi terms applied to c[n - l k^2].
+    """
+    terms = _theta_terms(l, len(coeffs) - 1)[1:]
+    reduce = ring.reduce
+    for n in range(l, len(coeffs)):
+        acc = coeffs[n]
+        for e, s in terms:
+            if e > n:
+                break
+            acc -= s * coeffs[n - e]
+        coeffs[n] = reduce(acc)
+
+
 @lru_cache(maxsize=256)
 def biregular_gf(spec: BiregularSpec, order: int, ring: Ring = ZZ) -> QSeries:
-    """Coefficient at n counts (l1,l2)-biregular overpartitions of n."""
-    return pochhammer_product(biregular_factors(spec), order, ring)
+    """Coefficient at n counts (l1,l2)-biregular overpartitions of n.
+
+    The eta-product of ``biregular_factors`` pairs up into the theta quotient
+    phi(-q^l1) phi(-q^l2) / (phi(-q) phi(-q^(l1 l2))), whose factors have
+    about sqrt(order/l) terms each.  The numerator is one sparse product,
+    and each denominator factor divides it in place in O(order sqrt(order/l))
+    steps, with no Newton iteration and no Kronecker product.
+    """
+    num = _theta_product(spec.l1, spec.l2, order)
+    # the sparser factor first, while exact coefficients are still small
+    for l in (spec.l1 * spec.l2, 1):
+        _divide_by_theta(num, l, ring)
+    return QSeries.make(num, ring)
 
 
 def materialize_eta(eq: EtaQuotient, order: int, ring: Ring = ZZ) -> tuple[QSeries, int]:

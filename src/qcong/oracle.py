@@ -1,17 +1,18 @@
 """Brute-force overpartition counting, independent of the series engine.
 
-Two paths: a memoized weighted-partition count (each distinct part size
-contributes a factor 2 for its overlinable first occurrence), and a fully
-explicit enumeration that places overline marks one by one.  The explicit
-path exists to validate the 2^{distinct} shortcut, the shortcut validates
-the generating functions.
+Two paths: a one-pass table of weighted partition counts (each distinct
+part size contributes a factor 2 for its overlinable first occurrence),
+and a fully explicit enumeration that places overline marks one by one.
+The explicit path exists to validate the 2^{distinct} shortcut, the
+shortcut validates the generating functions.  The table adds plain
+integers only: no eta-quotient, pentagonal number, Newton step or
+convolution is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 from .etaq import BiregularSpec, biregular_gf
 from .series import ZZ
@@ -19,41 +20,36 @@ from .series import ZZ
 EXPLICIT_ENUMERATION_CAP = 25
 
 
-def _weighted_count(n: int, parts: Sequence[int]) -> int:
-    """Sum over partitions of n into ``parts`` of 2^{number of distinct parts}."""
-
-    @lru_cache(maxsize=None)
-    def rec(remaining: int, idx: int) -> int:
-        if remaining == 0:
-            return 1
-        if idx < 0:
-            return 0
-        total = rec(remaining, idx - 1)  # part not used at all
-        p = parts[idx]
-        mult = remaining // p
-        for j in range(1, mult + 1):
-            # j copies of p; the first copy may carry an overline: factor 2
-            total += 2 * rec(remaining - j * p, idx - 1)
-        return total
-
-    result = rec(n, len(parts) - 1)
-    rec.cache_clear()
-    return result
+def _weighted_counts(n_max: int, allowed: Callable[[int], bool]) -> list[int]:
+    """For each n <= n_max, the sum over partitions of n into allowed parts
+    of 2^{number of distinct parts}."""
+    counts = [1] + [0] * n_max
+    for p in range(1, n_max + 1):
+        if not allowed(p):
+            continue
+        # fold in p: j >= 1 copies of p, the first of which may carry an
+        # overline, contribute 2 * (the count without p at n - j*p)
+        for r in range(p):
+            run = 0  # sum of the counts without p at n - p, n - 2p, ..., r
+            for n in range(r, n_max + 1, p):
+                without = counts[n]
+                counts[n] = without + 2 * run
+                run += without
+    return counts
 
 
 def count_biregular(spec: BiregularSpec, n: int) -> int:
     """Number of (l1,l2)-biregular overpartitions of n, counted exactly."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    parts = [p for p in range(1, n + 1) if spec.allows_part(p)]
-    return _weighted_count(n, parts)
+    return _weighted_counts(n, spec.allows_part)[n]
 
 
 def count_overpartitions(n: int) -> int:
     """Unrestricted overpartition count via the 2^{distinct} shortcut."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    return _weighted_count(n, list(range(1, n + 1)))
+    return _weighted_counts(n, lambda p: True)[n]
 
 
 def _partitions(n: int, max_part: int, allowed: Callable[[int], bool]):
@@ -113,8 +109,7 @@ def compare_series_vs_oracle(spec: BiregularSpec, n_max: int = 40) -> OracleComp
     """Check generating-function coefficients against brute-force counts."""
     series = biregular_gf(spec, n_max, ZZ)
     mismatches = []
-    for n in range(n_max + 1):
-        expected = count_biregular(spec, n)
+    for n, expected in enumerate(_weighted_counts(n_max, spec.allows_part)):
         got = series[n]
         if got != expected:
             mismatches.append((n, got, expected))

@@ -198,11 +198,6 @@ class QSeries:
             )
         return self.coeffs[n]
 
-    def prefix(self, count: int) -> tuple[int, ...]:
-        if count - 1 > self.order:
-            raise IndexError(f"only {self.order + 1} coefficients certified")
-        return self.coeffs[:count]
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

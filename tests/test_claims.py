@@ -206,6 +206,16 @@ class TestRunner:
         assert len(outcomes[0]) == len(chosen)
         assert outcomes[0] == outcomes[1]
 
+    def test_rings_agree_on_full_catalogue(self):
+        # all 74 claims; the deepest exact build is (2,9) to q^59125
+        outcomes = [
+            [(r.claim_id, r.status, r.counterexample)
+             for r in run_catalogue(exact=exact)]
+            for exact in (False, True)
+        ]
+        assert len(outcomes[0]) == len(builtin_catalogue()) == 74
+        assert outcomes[0] == outcomes[1]
+
 
 class TestBuildSeries:
     CLAIMS = [

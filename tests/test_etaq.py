@@ -1,8 +1,14 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcong.catalogue import builtin_catalogue
 from qcong.etaq import (
     BiregularSpec,
     EtaQuotient,
+    biregular_factors,
     biregular_gf,
     expand_monomial,
     materialize_eta,
@@ -11,7 +17,7 @@ from qcong.etaq import (
     pochhammer_product,
     regular_overpartition_gf,
 )
-from qcong.series import ZZ, mod_ring
+from qcong.series import ZZ, Ring, mod_ring
 
 
 class TestPochhammer:
@@ -134,3 +140,57 @@ def test_pochhammer_product_handles_mixed_signs():
     direct = pochhammer_product({2: 1, 1: -2}, 10, ZZ)
     manual = pochhammer(2, 10, ZZ) * pochhammer(1, 10, ZZ).invert() ** 2
     assert direct.coeffs == manual.coeffs
+
+
+def _catalogue_lcms() -> dict[BiregularSpec, int]:
+    lcms: dict[BiregularSpec, int] = {}
+    for claim in builtin_catalogue():
+        lcms[claim.spec] = math.lcm(lcms.get(claim.spec, 1), claim.modulus)
+    return lcms
+
+
+CATALOGUE_LCMS = _catalogue_lcms()
+
+
+def _eta_product(spec: BiregularSpec, order: int, ring: Ring):
+    # the reference: the eta-product expanded factor by factor
+    return pochhammer_product(biregular_factors(spec), order, ring)
+
+
+class TestThetaBuild:
+    """``biregular_gf`` builds a theta quotient; the eta-product expansion of
+    ``biregular_factors`` is the independent path it must agree with."""
+
+    @pytest.mark.parametrize("spec", list(CATALOGUE_LCMS), ids=str)
+    def test_catalogue_spec_exact(self, spec):
+        assert biregular_gf(spec, 1500, ZZ) == _eta_product(spec, 1500, ZZ)
+
+    @pytest.mark.parametrize("spec", list(CATALOGUE_LCMS), ids=str)
+    def test_catalogue_spec_mod_lcm(self, spec):
+        ring = Ring(CATALOGUE_LCMS[spec])
+        assert biregular_gf(spec, 6000, ring) == _eta_product(spec, 6000, ring)
+
+    @pytest.mark.parametrize("ring", [ZZ, Ring(8)], ids=repr)
+    @pytest.mark.parametrize("order", [0, 1, 4])
+    def test_orders_below_both_moduli(self, order, ring):
+        # below q^5 no part is excluded: the overpartition numbers
+        spec = BiregularSpec(5, 8)
+        series = biregular_gf(spec, order, ring)
+        assert series == _eta_product(spec, order, ring)
+        assert series == overpartition_gf(order, ring)
+
+
+coprime_pairs = st.tuples(st.integers(2, 40), st.integers(2, 40)).filter(
+    lambda pair: math.gcd(*pair) == 1
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coprime_pairs,
+    st.integers(0, 400),
+    st.sampled_from([ZZ, Ring(2), Ring(3), Ring(4), Ring(8), Ring(24)]),
+)
+def test_theta_build_matches_eta_product(pair, order, ring):
+    spec = BiregularSpec(*pair)
+    assert biregular_gf(spec, order, ring) == _eta_product(spec, order, ring)

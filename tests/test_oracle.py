@@ -1,13 +1,17 @@
 import pytest
 
-from qcong.etaq import BiregularSpec, overpartition_gf
+from qcong.catalogue import KNOWN_FAILING, claim_by_id
+from qcong.claims import MultiplicativeClaim, SeriesCongruenceClaim, verify_claim
+from qcong.derivations import REFUTED, all_derivations, verify_derivation
+from qcong.dissect import eval_expr
+from qcong.etaq import BiregularSpec, biregular_gf, overpartition_gf
 from qcong.oracle import (
     compare_series_vs_oracle,
     count_biregular,
     count_overpartitions,
     count_overpartitions_explicit,
 )
-from qcong.series import ZZ
+from qcong.series import ZZ, Ring
 
 SPECS = [(2, 9), (5, 2), (5, 4), (8, 3), (4, 9), (3, 4), (5, 8)]
 
@@ -61,3 +65,40 @@ class TestSeriesAgreement:
     def test_compare_series_vs_oracle(self, pair):
         report = compare_series_vs_oracle(BiregularSpec(*pair), n_max=40)
         assert report.ok, report.mismatches
+
+
+class TestRefutationsConfirmed:
+    """Each refutation the engine reports is reproduced by brute-force counts
+    at the coefficient indices its counterexample reads."""
+
+    @pytest.mark.parametrize("claim_id", sorted(KNOWN_FAILING))
+    def test_known_failing_claim(self, claim_id):
+        claim = claim_by_id(claim_id)
+        report = verify_claim(claim)
+        assert report.status == "fail", report
+        n, *engine = report.counterexample
+        m = claim.modulus
+        if isinstance(claim, MultiplicativeClaim):
+            lhs, rhs = (count_biregular(claim.spec, a * n + b)
+                        for a, b in (claim.lhs, claim.rhs))
+            assert [lhs % m, rhs % m] == engine
+            assert (lhs - claim.factor * rhs) % m
+        elif isinstance(claim, SeriesCongruenceClaim):
+            count = count_biregular(claim.spec, claim.a * n + claim.b)
+            assert count % m == engine[0] != engine[1]  # engine[1]: the target
+        else:  # a progression said to vanish mod m
+            count = count_biregular(claim.spec, claim.a * n + claim.b)
+            assert count % m == engine[0] != 0
+
+    @pytest.mark.parametrize("record_id", sorted(REFUTED))
+    def test_refuted_record(self, record_id):
+        (d,) = [d for d in all_derivations() if d.id == record_id]
+        result = verify_derivation(d)
+        assert not result.ok, result
+        n = result.index
+        index = d.step * n + d.residue
+        ring = Ring(d.modulus)
+        count = count_biregular(d.spec, index)
+        assert count % d.modulus == biregular_gf(d.spec, index, ring)[index]
+        target = 0 if d.rhs is None else eval_expr(d.rhs, n, ring)[n]
+        assert count % d.modulus != target
