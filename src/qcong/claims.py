@@ -24,6 +24,9 @@ from .series import QSeries, Ring, congruent_upto
 #: hard sanity bound on the deepest coefficient a catalogue claim may need
 CLAIM_INDEX_LIMIT = 200_000
 
+#: fewest terms per progression a congruence search accepts as evidence
+MIN_EVIDENCE = 10
+
 SCHEMA_VERSION = 1
 
 
@@ -440,7 +443,6 @@ def search_congruences(
     a_max: int,
     moduli: Sequence[int],
     n_max: int,
-    min_evidence: int = 10,
 ) -> list[SearchHit]:
     """All (a <= a_max, b < a, m) with B(spec)(a*n+b) == 0 (mod m), n <= n_max.
     The series is built once, mod the lcm of the moduli."""
@@ -449,8 +451,8 @@ def search_congruences(
     for m in moduli:
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
-    if n_max < min_evidence:
-        raise ValueError(f"n_max {n_max} below the evidence floor {min_evidence}")
+    if n_max < MIN_EVIDENCE:
+        raise ValueError(f"n_max {n_max} below the evidence floor {MIN_EVIDENCE}")
     from .catalogue import builtin_catalogue
 
     known = {

@@ -7,6 +7,7 @@ failed, 2 on usage or precondition errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -24,14 +25,7 @@ from .etaq import (
     pochhammer,
     regular_overpartition_gf,
 )
-from .hecke import (
-    ETA4_20_CONTEXT,
-    ETA6_4_CONTEXT,
-    eigen_check,
-    eta4_20,
-    eta6_4,
-    vanishing_class_check,
-)
+from .hecke import HECKE_FORMS, eigen_check, vanishing_class_check
 from .oracle import compare_series_vs_oracle
 from .series import ZZ, mod_ring
 
@@ -59,10 +53,12 @@ def _parse_eta(text: str) -> EtaQuotient:
 
 
 def _ring(args) -> object:
-    if getattr(args, "ring", "exact") == "mod":
-        if not getattr(args, "mod", None):
+    if args.ring == "mod":
+        if not args.mod:
             raise SystemExit("--ring mod requires --mod M")
         return mod_ring(args.mod)
+    if args.mod is not None:
+        raise SystemExit("--mod M requires --ring mod")
     return ZZ
 
 
@@ -177,24 +173,16 @@ def cmd_oracle_compare(args) -> int:
 def cmd_hecke_check(args) -> int:
     p = args.prime
     n_max = args.nmax
-    if args.form == "eta6_4":
-        series, ctx = eta6_4(p * n_max), ETA6_4_CONTEXT
-        support = (6, 1)
-    else:
-        series, ctx = eta4_20(p * n_max), ETA4_20_CONTEXT
-        support = (4, 1)
-    try:
-        res = eigen_check(series, p, ctx, n_max)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    vanish = vanishing_class_check(
-        series if series.order >= 300 else
-        (eta6_4(300) if args.form == "eta6_4" else eta4_20(300)),
-        support[0], support[1], 300,
-    )
+    support_n = 300
+    eq, report = HECKE_FORMS[args.form]
+    series, q_power = materialize_eta(eq, max(p * n_max, support_n))
+    # every delta is a multiple of g, so the q-expansion lives on q_power mod g
+    g = math.gcd(*(delta for delta, _ in eq.terms))
+    res = eigen_check(series, p, report, n_max)
+    vanish = vanishing_class_check(series, g, q_power % g, support_n)
     print(f"{args.form} | T_{p}: "
           f"{'eigenform, eigenvalue ' + str(res.eigenvalue) if res else 'FAIL: ' + res.detail}")
-    print(f"{args.form} support check mod {support[0]}: "
+    print(f"{args.form} support check mod {g}: "
           f"{'PASS' if vanish else 'FAIL: ' + vanish.detail}")
     return 0 if (res and vanish) else 1
 
@@ -225,8 +213,7 @@ def cmd_search(args) -> int:
     moduli = [int(m) for m in args.mods.split(",")]
     found = 0
     for spec in specs:
-        hits = search_congruences(spec, args.amax, moduli, args.nmax,
-                                  min_evidence=args.min_evidence)
+        hits = search_congruences(spec, args.amax, moduli, args.nmax)
         for hit in hits:
             tag = "known" if hit.known else "candidate"
             print(f"B{spec}({hit.a}n+{hit.b}) == 0 (mod {hit.modulus})"
@@ -292,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("hecke-check", help="eigenform and support checks")
-    p.add_argument("--form", choices=["eta6_4", "eta4_20"], required=True)
+    p.add_argument("--form", choices=list(HECKE_FORMS), required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--nmax", type=int, default=40)
     p.set_defaults(func=cmd_hecke_check)
@@ -309,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amax", type=int, required=True)
     p.add_argument("--mods", required=True, help="comma-separated moduli")
     p.add_argument("--nmax", type=int, default=60)
-    p.add_argument("--min-evidence", type=int, default=10)
     p.set_defaults(func=cmd_search)
 
     return parser

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .dissect import SeriesExpr, eval_expr, expr
-from .etaq import BiregularSpec, biregular_gf, merge_factors
+from .etaq import BiregularSpec, biregular_gf, merge_factors, phi_factors
 from .series import CheckResult, QSeries, Ring, congruent_upto
 
 SPEC29 = BiregularSpec(2, 9)
@@ -130,9 +130,7 @@ def _chain_2_9() -> list[Derivation]:
 
 def _chain_5_2t(t: int) -> list[Derivation]:
     spec = BiregularSpec(5, 2**t)
-    tail = {2**t: 2, 5 * 2 ** (t + 1): 1, 2 ** (t + 1): -1, 5 * 2**t: -2}
-    half = {2 ** (t - 1): 2, 5 * 2**t: 1, 2**t: -1, 5 * 2 ** (t - 1): -2}
-    quarter = {2 ** (t - 2): 2, 5 * 2 ** (t - 1): 1, 2 ** (t - 1): -1, 5 * 2 ** (t - 2): -2}
+    tail, half, quarter = (phi_factors((2**j,), (5 * 2**j,)) for j in (t, t - 1, t - 2))
     tag = f"[t={t}]"
     return [
         Derivation(f"eq4.2{tag}", spec, 1, 0, expr(
@@ -262,7 +260,7 @@ def _chain_8_3() -> list[Derivation]:
 
 def _chain_4_3t(t: int) -> list[Derivation]:
     spec = BiregularSpec(4, 3**t)
-    r = {3 ** (t - 1): 2, 8 * 3 ** (t - 1): 1, 2 * 3 ** (t - 1): -1, 4 * 3 ** (t - 1): -2}
+    r = phi_factors((3 ** (t - 1),), (4 * 3 ** (t - 1),))
     tag = f"[t={t}]"
     return [
         Derivation(f"eq9.2{tag}", spec, 3, 0, expr(
@@ -298,9 +296,7 @@ def _chain_4_3t(t: int) -> list[Derivation]:
 
 def _chain_3_2t(t: int) -> list[Derivation]:
     spec = BiregularSpec(3, 2**t)
-    x = {2**t: 2, 3 * 2 ** (t + 1): 1, 2 ** (t + 1): -1, 3 * 2**t: -2}
-    half = {2 ** (t - 1): 2, 3 * 2**t: 1, 2**t: -1, 3 * 2 ** (t - 1): -2}
-    quarter = {2 ** (t - 2): 2, 3 * 2 ** (t - 1): 1, 2 ** (t - 1): -1, 3 * 2 ** (t - 2): -2}
+    x, half, quarter = (phi_factors((2**j,), (3 * 2**j,)) for j in (t, t - 1, t - 2))
     tag = f"[t={t}]"
     return [
         Derivation(f"eq10.2{tag}", spec, 1, 0, expr(

@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Iterable, Mapping
 
 from .arith import is_prime
-from .etaq import expand_monomial, pochhammer
+from .etaq import EtaQuotient, expand_monomial, pochhammer
 from .series import CheckResult, QSeries, Ring, ZZ, congruent_upto, mod_ring
 
 _DATA_PACKAGE = "qcong.data"
@@ -25,25 +25,15 @@ _IDENTITIES_FILE = "identities.jsonl"
 
 @dataclass(frozen=True)
 class Monomial:
+    """c * q^s * prod f(m)^e, with the f-exponents held as an eta-quotient."""
+
     c: int
     s: int
-    factors: tuple[tuple[int, int], ...]
+    factors: EtaQuotient
 
     def __post_init__(self) -> None:
         if self.s < 0:
             raise ValueError(f"monomial shift must be >= 0, got {self.s}")
-        seen = set()
-        for m, e in self.factors:
-            if m < 1:
-                raise ValueError(f"factor index must be >= 1, got {m}")
-            if e == 0:
-                raise ValueError(f"factor exponent for f({m}) must be nonzero")
-            if m in seen:
-                raise ValueError(f"duplicate factor index {m}")
-            seen.add(m)
-
-    def factor_dict(self) -> dict[int, int]:
-        return dict(self.factors)
 
 
 @dataclass(frozen=True)
@@ -58,8 +48,7 @@ class SeriesExpr:
 
 
 def mono(c: int, s: int, factors: Mapping[int, int] | None = None) -> Monomial:
-    items = tuple(sorted((factors or {}).items()))
-    return Monomial(c, s, items)
+    return Monomial(c, s, EtaQuotient.of(factors or {}))
 
 
 def expr(*monomials: Monomial | tuple) -> SeriesExpr:
@@ -94,7 +83,7 @@ def eval_expr(e: SeriesExpr, order: int, ring: Ring = ZZ) -> QSeries:
     for m in e.monomials:
         if m.s > order:
             continue  # beyond truncation; contributes nothing certifiable
-        acc = acc + expand_monomial(m.c, m.s, m.factor_dict(), order, ring)
+        acc = acc + expand_monomial(m.c, m.s, m.factors.as_dict(), order, ring)
     return acc
 
 

@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .series import QSeries, Ring, ZZ
 
@@ -157,11 +157,6 @@ def expand_monomial(
     return body.scale(c).shift(s)
 
 
-def overpartition_gf(order: int, ring: Ring = ZZ) -> QSeries:
-    """Generating function of overpartition counts: f(2)/f(1)^2."""
-    return pochhammer_product({2: 1, 1: -2}, order, ring)
-
-
 def merge_factors(*maps: Mapping[int, int]) -> dict[int, int]:
     """Sum exponent maps, dropping zero exponents (indices may coincide)."""
     acc: dict[int, int] = {}
@@ -171,23 +166,32 @@ def merge_factors(*maps: Mapping[int, int]) -> dict[int, int]:
     return {m: e for m, e in acc.items() if e != 0}
 
 
+def phi_factors(num: Iterable[int], den: Iterable[int] = ()) -> dict[int, int]:
+    """f-exponent map of prod_{a in num} phi(-q^a) / prod_{b in den} phi(-q^b),
+    by phi(-q^l) = f(l)^2/f(2l)."""
+    return merge_factors(
+        *({a: 2, 2 * a: -1} for a in num),
+        *({b: -2, 2 * b: 1} for b in den),
+    )
+
+
+def overpartition_gf(order: int, ring: Ring = ZZ) -> QSeries:
+    """Generating function of overpartition counts: f(2)/f(1)^2 = 1/phi(-q)."""
+    return pochhammer_product(phi_factors((), (1,)), order, ring)
+
+
 def regular_overpartition_gf(ell: int, order: int, ring: Ring = ZZ) -> QSeries:
-    """Counts of overpartitions with no part divisible by ell."""
+    """Counts of overpartitions with no part divisible by ell:
+    phi(-q^ell)/phi(-q)."""
     if ell < 2:
         raise ValueError(f"regularity modulus must be >= 2, got {ell}")
-    factors = merge_factors({2: 1, 1: -2}, {ell: 2, 2 * ell: -1})
-    return pochhammer_product(factors, order, ring)
+    return pochhammer_product(phi_factors((ell,), (1,)), order, ring)
 
 
 def biregular_factors(spec: BiregularSpec) -> dict[int, int]:
-    """Exponent map of the biregular overpartition generating function."""
-    l1, l2 = spec.l1, spec.l2
-    return merge_factors(
-        {2: 1, 1: -2},
-        {l1: 2, 2 * l1: -1},
-        {l2: 2, 2 * l2: -1},
-        {2 * l1 * l2: 1, l1 * l2: -2},
-    )
+    """Exponent map of the biregular overpartition generating function,
+    phi(-q^l1) phi(-q^l2) / (phi(-q) phi(-q^(l1 l2)))."""
+    return phi_factors((spec.l1, spec.l2), (1, spec.l1 * spec.l2))
 
 
 def _theta_terms(l: int, order: int) -> list[tuple[int, int]]:

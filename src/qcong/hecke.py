@@ -5,63 +5,53 @@ Newman three-term coefficient recursions for f(1)f(3) and f(1)f(5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .arith import is_prime, kronecker
-from .etaq import EtaQuotient, materialize_eta, pochhammer
+from .arith import ModularityReport, is_prime, kronecker, modularity_check
+from .etaq import EtaQuotient, materialize_eta, pochhammer_product
 from .series import CheckResult, QSeries, Ring, ZZ
 
+#: eta(6z)^4 = q f(6)^4 on level 36
+ETA6_4 = EtaQuotient.of({6: 4}, level=36)
+#: eta(4z)eta(20z) = q f(4) f(20) on level 80
+ETA4_20 = EtaQuotient.of({4: 1, 20: 1}, level=80)
 
-@dataclass(frozen=True)
-class HeckeContext:
-    """Weight, level, and Nebentypus data for a T_p action.
+#: weight 2, trivial character (the product of the deltas is a square)
+ETA6_4_CONTEXT = modularity_check(ETA6_4, ETA6_4.level)
+#: weight 1, character (-20 | d)
+ETA4_20_CONTEXT = modularity_check(ETA4_20, ETA4_20.level)
 
-    ``chi_top`` is the top of the character symbol, so the character is
-    d -> kronecker(chi_top, d), forced to 0 when gcd(d, level) > 1.
-    """
-
-    weight: int
-    level: int
-    chi_top: int
-
-    def character(self, d: int) -> int:
-        import math
-
-        if math.gcd(d, self.level) > 1:
-            return 0
-        return kronecker(self.chi_top, d)
+#: the forms ``hecke-check`` knows: name -> (eta-quotient, its report)
+HECKE_FORMS = {
+    "eta6_4": (ETA6_4, ETA6_4_CONTEXT),
+    "eta4_20": (ETA4_20, ETA4_20_CONTEXT),
+}
 
 
-#: eta(6z)^4: weight 2, level 36, trivial character (top is a square).
-ETA6_4_CONTEXT = HeckeContext(weight=2, level=36, chi_top=6**4)
-#: eta(4z)eta(20z): weight 1, level 80, character (-20 | d).
-ETA4_20_CONTEXT = HeckeContext(weight=1, level=80, chi_top=-20)
-
-
-@lru_cache(maxsize=32)
 def eta6_4(order: int, ring: Ring = ZZ) -> QSeries:
     """q-expansion of eta(6z)^4 = q * f(6)^4."""
-    series, _ = materialize_eta(EtaQuotient.of({6: 4}, level=36), order, ring)
-    return series
+    return materialize_eta(ETA6_4, order, ring)[0]
 
 
-@lru_cache(maxsize=32)
 def eta4_20(order: int, ring: Ring = ZZ) -> QSeries:
     """q-expansion of eta(4z)eta(20z) = q * f(4) f(20)."""
-    series, _ = materialize_eta(EtaQuotient.of({4: 1, 20: 1}, level=80), order, ring)
-    return series
+    return materialize_eta(ETA4_20, order, ring)[0]
 
 
-def apply_tp(a: QSeries, p: int, ctx: HeckeContext, n_max: int | None = None) -> QSeries:
-    """T_p action: result(n) = a(p*n) + chi(p) * p^(k-1) * a(n/p)."""
+def apply_tp(
+    a: QSeries, p: int, ctx: ModularityReport, n_max: int | None = None
+) -> QSeries:
+    """T_p action: result(n) = a(p*n) + chi(p) * p^(k-1) * a(n/p), with the
+    weight k and the character chi read from the form's modularity report."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if not ctx.weight_integral:
+        raise ValueError(f"T_{p} needs an integral weight, got {ctx.weight}")
     out_order = a.order // p if n_max is None else n_max
     if a.order < p * out_order:
         raise ValueError(
             f"input order {a.order} cannot certify T_{p} output to {out_order}"
         )
-    chi_p_pk = ctx.character(p) * p ** (ctx.weight - 1)
+    chi_p_pk = ctx.character(p) * p ** (ctx.weight.numerator - 1)
     red = a.ring.reduce
     coeffs = []
     for n in range(out_order + 1):
@@ -83,12 +73,14 @@ class EigenResult:
         return self.ok
 
 
-def eigen_check(a: QSeries, p: int, ctx: HeckeContext, n_max: int) -> EigenResult:
+def eigen_check(a: QSeries, p: int, ctx: ModularityReport, n_max: int) -> EigenResult:
     """Is a a T_p eigenform to n_max?  Requires normalization a(1) = 1.
 
     On success returns the (integer) eigenvalue, which equals the
     coefficient of T_p a at n = 1.
     """
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1 to read the eigenvalue, got {n_max}")
     if a[1] != 1:
         raise ValueError(f"series not normalized: coefficient at q^1 is {a[1]}")
     if a.order < p * n_max:
@@ -116,27 +108,28 @@ def vanishing_class_check(a: QSeries, modulus: int, residue: int, n_max: int) ->
     return CheckResult(True, None, f"supported on {residue} mod {modulus} to n={n_max}")
 
 
-#: Newman recursion parameters per product: (c, D) with the recursion
-#: u(p*n + w) = u(w)*u(n) - (-1)^((p-1)/2) (D|p) u((n-w)/p),  w = (p-1)/c,
-#: valid for primes p == 1 (mod c); the last term drops when its argument
-#: is not a non-negative integer.
+#: Newman recursion parameters per product f(1) f(D): (c, D) with the
+#: recursion u(p*n + w) = u(w)*u(n) - (-1)^((p-1)/2) (D|p) u((n-w)/p),
+#: w = (p-1)/c, valid for primes p == 1 (mod c); the last term drops when
+#: its argument is not a non-negative integer.
 NEWMAN_PARAMS = {"f1f3": (6, 3), "f1f5": (4, 5)}
 
 
-@lru_cache(maxsize=8)
+def _newman_params(product: str) -> tuple[int, int]:
+    if product not in NEWMAN_PARAMS:
+        raise ValueError(f"unknown product {product!r}; know {sorted(NEWMAN_PARAMS)}")
+    return NEWMAN_PARAMS[product]
+
+
 def newman_series(product: str, order: int) -> QSeries:
-    if product == "f1f3":
-        return pochhammer(1, order, ZZ) * pochhammer(3, order, ZZ)
-    if product == "f1f5":
-        return pochhammer(1, order, ZZ) * pochhammer(5, order, ZZ)
-    raise ValueError(f"unknown product {product!r}; know {sorted(NEWMAN_PARAMS)}")
+    """f(1) f(D) through q^order for a product named in NEWMAN_PARAMS."""
+    _, dd = _newman_params(product)
+    return pochhammer_product({1: 1, dd: 1}, order, ZZ)
 
 
 def newman_check(product: str, p: int, n_max: int) -> CheckResult:
     """Verify the three-term recursion coefficientwise for n <= n_max."""
-    if product not in NEWMAN_PARAMS:
-        raise ValueError(f"unknown product {product!r}; know {sorted(NEWMAN_PARAMS)}")
-    c, dd = NEWMAN_PARAMS[product]
+    c, dd = _newman_params(product)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p % c != 1:

@@ -145,3 +145,57 @@ class TestOtherCommands:
     def test_search_rejects_unit_modulus(self, capsys):
         assert run(["search", "--spec", "2,9", "--amax", "4",
                     "--mods", "1", "--nmax", "30"]) == 2
+
+
+class TestUsageErrors:
+    def test_mod_without_mod_ring_is_usage_error(self, capsys):
+        assert run(["expand", "--gf", "biregular", "--spec", "2,9",
+                    "--order", "8", "--mod", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--ring mod" in captured.err
+
+    def test_min_evidence_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["search", "--spec", "2,9", "--amax", "4", "--mods", "4",
+                 "--min-evidence", "5"])
+        assert exc.value.code == 2
+
+    def test_search_below_evidence_floor(self, capsys):
+        assert run(["search", "--spec", "2,9", "--amax", "4",
+                    "--mods", "4", "--nmax", "9"]) == 2
+        assert "evidence floor 10" in capsys.readouterr().err
+
+    def test_hecke_check_nmax_zero_is_usage_error(self, capsys):
+        assert run(["hecke-check", "--form", "eta4_20", "--prime", "5",
+                    "--nmax", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestHeckeCheckSingleBuild:
+    def test_small_nmax_reads_support_from_the_same_build(self, capsys):
+        # p * nmax = 50 < 300: one build to q^300 serves both checks
+        assert run(["hecke-check", "--form", "eta6_4", "--prime", "5",
+                    "--nmax", "10"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "eta6_4 | T_5: eigenform, eigenvalue 0",
+            "eta6_4 support check mod 6: PASS",
+        ]
+
+
+def test_module_entry_point_exit_code():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "qcong", "expand", "--gf", "biregular",
+         "--spec", "2,9", "--order", "8", "--mod", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")

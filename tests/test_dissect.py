@@ -188,3 +188,17 @@ def test_mutation_sensitivity():
         victim = _mutate(rng.choice(catalogue), rng)
         res = verify_identity(victim, order=20)
         assert not res and res.index is not None and res.index <= 20
+
+
+def test_mono_rejects_nonpositive_index():
+    with pytest.raises(ValueError):
+        mono(1, 0, {0: 1})
+
+
+def test_monomial_factors_are_an_eta_quotient():
+    from qcong.etaq import EtaQuotient
+
+    m = mono(2, 1, {3: -1, 1: 2})
+    assert m.factors == EtaQuotient.of({1: 2, 3: -1})
+    assert eval_expr(SeriesExpr((m,)), 20, ZZ) == pochhammer_product(
+        {1: 2, 3: -1}, 19, ZZ).scale(2).shift(1)

@@ -194,3 +194,18 @@ coprime_pairs = st.tuples(st.integers(2, 40), st.integers(2, 40)).filter(
 def test_theta_build_matches_eta_product(pair, order, ring):
     spec = BiregularSpec(*pair)
     assert biregular_gf(spec, order, ring) == _eta_product(spec, order, ring)
+
+
+class TestPhiFactors:
+    @pytest.mark.parametrize("l", [1, 2, 3, 7])
+    def test_single_phi_is_the_theta_series(self, l):
+        from qcong.etaq import phi_factors
+
+        order = 120
+        want = [0] * (order + 1)
+        k = 0
+        while l * k * k <= order:
+            want[l * k * k] = 1 if k == 0 else 2 * (-1) ** k
+            k += 1
+        got = pochhammer_product(phi_factors((l,)), order, ZZ)
+        assert list(got.coeffs) == want

@@ -1,7 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcong.arith import ModularityReport, kronecker, modularity_check
+from qcong.etaq import EtaQuotient
 from qcong.hecke import (
     ETA4_20_CONTEXT,
     ETA6_4_CONTEXT,
@@ -133,3 +137,30 @@ class TestNewman:
     def test_unknown_product_rejected(self):
         with pytest.raises(ValueError):
             newman_check("f1f7", 29, 5)
+
+
+class TestDerivedContexts:
+    """The contexts are the modularity reports of the two eta-quotients."""
+
+    def test_reports_carry_weight_and_level(self):
+        assert isinstance(ETA6_4_CONTEXT, ModularityReport)
+        assert isinstance(ETA4_20_CONTEXT, ModularityReport)
+        assert (ETA6_4_CONTEXT.weight, ETA6_4_CONTEXT.level) == (2, 36)
+        assert (ETA4_20_CONTEXT.weight, ETA4_20_CONTEXT.level) == (1, 80)
+
+    @pytest.mark.parametrize("ctx,top", [(ETA6_4_CONTEXT, 6**4), (ETA4_20_CONTEXT, -20)])
+    def test_character_matches_printed_symbol(self, ctx, top):
+        for d in range(1, 501):
+            expected = 0 if math.gcd(d, ctx.level) > 1 else kronecker(top, d)
+            assert ctx.character(d) == expected, f"d={d}"
+
+    def test_half_integral_weight_rejected(self):
+        report = modularity_check(EtaQuotient.of({1: 1}), 1)
+        with pytest.raises(ValueError, match="integral weight"):
+            apply_tp(QSeries.zero(30, ZZ), 3, report)
+        with pytest.raises(ValueError, match="integral weight"):
+            eigen_check(eta6_4(30), 3, report, n_max=10)
+
+    def test_eigen_check_needs_a_coefficient(self):
+        with pytest.raises(ValueError, match="n_max >= 1"):
+            eigen_check(eta6_4(300), 5, ETA6_4_CONTEXT, n_max=0)
