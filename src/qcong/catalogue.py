@@ -74,7 +74,8 @@ def hecke_sign_4_20(p: int) -> int:
     return -kronecker(-20, p)
 
 
-#: statements from the source catalogue that the engine refutes; id -> note
+#: statements from the source catalogue that the engine refutes; id -> note.
+#: A claim on the progression of a refuted record or claim takes its note.
 KNOWN_FAILING: dict[str, str] = {
     **{cid: REFUTED[rid] for cid, rid in RESTATES.items() if rid in REFUTED},
     "thm4.10.t3.p3":
@@ -83,14 +84,11 @@ KNOWN_FAILING: dict[str, str] = {
     "thm4.8.t4.p7.j1":
         "n=2: B(5,16)(469) == 4 (mod 8); the t=4 family fails mod 8 "
         "(it does hold mod 4, and the t=3 family verifies mod 8)",
-    "coro4.9.ex.t4":
-        "same progression as thm4.8.t4.p7.j1; n=2: B(5,16)(469) == 4 (mod 8)",
     "coro4.11.t4.p3k2":
         "n=0: B(5,16)(81) == 6 (mod 8) but B(5,16)(1) == 2",
-    "thm8.1a.t3":
-        "n=3: B(4,27)(9) = 106 == 2 (mod 8); the 3n-progression claim "
-        "fails mod 8 at t=3 (it verifies at t=2)",
+    "thm8.1a.t3": REFUTED["eq9.5[t=3]"],  # the record adds n=0, B(0) = 1
 }
+KNOWN_FAILING["coro4.9.ex.t4"] = KNOWN_FAILING["thm4.8.t4.p7.j1"]
 
 
 def _catalogue_2_9() -> list[Claim]:

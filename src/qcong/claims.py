@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, Union
 
+from .derivations import SPEC29, SPEC52, SPEC54
 from .dissect import SeriesExpr, eval_expr
 from .etaq import BiregularSpec, biregular_gf
 from .series import QSeries, Ring, congruent_upto
@@ -30,11 +31,13 @@ MIN_EVIDENCE = 10
 SCHEMA_VERSION = 1
 
 
-def _check_progression(a: int, b: int, modulus: int, n_max: int) -> None:
+def _check_progression(a: int, b: int, modulus: int, n_max: int, n_min: int = 0) -> None:
     if a < 1 or b < 0:
         raise ValueError(f"progression {a}n+{b} is not valid")
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
+    if not 0 <= n_min <= n_max:
+        raise ValueError(f"range n in [{n_min}, {n_max}] is empty or negative")
     if a * n_max + b > CLAIM_INDEX_LIMIT:
         raise ValueError(
             f"claim needs coefficient {a * n_max + b}, beyond the "
@@ -59,7 +62,7 @@ class VanishingClaim:
     kind = "vanishing"
 
     def __post_init__(self) -> None:
-        _check_progression(self.a, self.b, self.modulus, self.n_max)
+        _check_progression(self.a, self.b, self.modulus, self.n_max, self.n_min)
 
     def max_index(self) -> int:
         return self.a * self.n_max + self.b
@@ -159,18 +162,21 @@ class NewmanConditionalClaim:
         _check_progression(self.a, self.b, self.modulus, self.n_max)
 
     @property
+    def scale(self) -> int:
+        """3 on the f(1)f(3) route, whose indices carry a factor 3; else 1."""
+        return 3 if self.stride == 6 else 1
+
+    @property
     def a(self) -> int:
-        scale = 3 if self.stride == 6 else 1
-        return scale * self.stride * self.p ** (2 * self.k + 1)
+        return self.scale * self.stride * self.p ** (2 * self.k + 1)
 
     @property
     def b(self) -> int:
-        scale = 3 if self.stride == 6 else 1
-        return scale * self.p ** (2 * self.k + 1)
+        return self.scale * self.p ** (2 * self.k + 1)
 
     @property
     def hyp_index(self) -> int:
-        return (3 if self.stride == 6 else 1) * self.p
+        return self.scale * self.p
 
     def max_index(self) -> int:
         return max(self.a * self.n_max + self.b, self.hyp_index)
@@ -235,6 +241,11 @@ def build_series(
 # verifiers
 
 
+def _component(gf: QSeries, a: int, b: int, n_max: int) -> QSeries:
+    """sum_{n <= n_max} gf(a*n + b) q^n; a slice, as ``extract`` needs b < a."""
+    return QSeries(gf.ring, gf.coeffs[b : a * n_max + b + 1 : a])
+
+
 def _verifier(check: Callable):
     """Turn ``check(claim, gf) -> (status, counterexample, range, note)``
     into a verifier: check the claim against the counting series gf (built
@@ -259,39 +270,32 @@ def _verifier(check: Callable):
 
 @_verifier
 def verify_vanishing(claim: VanishingClaim, gf: QSeries):
-    status, counter = "pass", None
-    for n in range(claim.n_min, claim.n_max + 1):
-        value = gf[claim.a * n + claim.b] % claim.modulus
-        if value:
-            status, counter = "fail", (n, value)
-            break
-    return (status, counter, f"n in [{claim.n_min}, {claim.n_max}]",
-            "finite-range check only")
+    m, lo = claim.modulus, claim.n_min
+    lhs = _component(gf, claim.a, claim.a * lo + claim.b, claim.n_max - lo)
+    res = congruent_upto(lhs, QSeries.zero(lhs.order, gf.ring), m, lhs.order)
+    counter = None if res else (lo + res.index, lhs[res.index] % m)
+    return (("pass" if res else "fail"), counter,
+            f"n in [{lo}, {claim.n_max}]", "finite-range check only")
 
 
 @_verifier
 def verify_series_congruence(claim: SeriesCongruenceClaim, gf: QSeries):
-    lhs = gf.truncate(claim.max_index()).extract(claim.a, claim.b)
+    lhs = _component(gf, claim.a, claim.b, claim.n_max)
     rhs = eval_expr(claim.target, claim.n_max, gf.ring)
-    res = congruent_upto(lhs, rhs, claim.modulus, claim.n_max)
-    counter = None if res else (
-        res.index, lhs[res.index] % claim.modulus, rhs[res.index] % claim.modulus
-    )
+    m = claim.modulus
+    res = congruent_upto(lhs, rhs, m, claim.n_max)
+    counter = None if res else (res.index, lhs[res.index] % m, rhs[res.index] % m)
     return ("pass" if res else "fail"), counter, f"n in [0, {claim.n_max}]", ""
 
 
 @_verifier
 def verify_multiplicative(claim: MultiplicativeClaim, gf: QSeries):
-    (a1, b1), (a2, b2) = claim.lhs, claim.rhs
-    status, counter = "pass", None
-    for n in range(claim.n_max + 1):
-        lhs = gf[a1 * n + b1]
-        rhs = gf[a2 * n + b2]
-        if (lhs - claim.factor * rhs) % claim.modulus:
-            status = "fail"
-            counter = (n, lhs % claim.modulus, rhs % claim.modulus)
-            break
-    return status, counter, f"n in [0, {claim.n_max}]", ""
+    m = claim.modulus
+    lhs = _component(gf, *claim.lhs, claim.n_max)
+    rhs = _component(gf, *claim.rhs, claim.n_max)
+    res = congruent_upto(lhs, rhs.scale(claim.factor), m, claim.n_max)
+    counter = None if res else (res.index, lhs[res.index] % m, rhs[res.index] % m)
+    return ("pass" if res else "fail"), counter, f"n in [0, {claim.n_max}]", ""
 
 
 @_verifier
@@ -301,17 +305,16 @@ def verify_newman_conditional(claim: NewmanConditionalClaim, gf: QSeries):
         return ("skipped-hypothesis-false", None,
                 f"hypothesis index {claim.hyp_index}",
                 f"hypothesis value {hyp} (mod {claim.modulus})")
-    status, counter = "pass", None
-    checked = 0
-    for n in range(claim.n_max + 1):
-        if (claim.stride * n + 1) % claim.p == 0:
-            continue  # excluded class
-        checked += 1
-        value = gf[claim.a * n + claim.b] % claim.modulus
-        if value:
-            status, counter = "fail", (n, value)
-            break
-    return (status, counter, f"n in [0, {claim.n_max}], {checked} admissible",
+    m, p = claim.modulus, claim.p
+    # the excluded class p | stride*n + 1 is n == -1/stride (mod p)
+    excluded = -pow(claim.stride, -1, p) % p
+    lhs = _component(gf, claim.a, claim.b, claim.n_max)
+    res = congruent_upto(lhs, lhs.on_class(p, excluded), m, claim.n_max)
+    counter = None if res else (res.index, lhs[res.index] % m)
+    last = claim.n_max if res else res.index
+    checked = last + 1 - (last + p - excluded) // p
+    return (("pass" if res else "fail"), counter,
+            f"n in [0, {claim.n_max}], {checked} admissible",
             "hypothesis engine-evaluated true")
 
 
@@ -334,24 +337,21 @@ def verify_claim(
 
 #: family theorems: progression a = stride*scale*prod(p_i^2),
 #: b = (stride*j + p_last) * scale * prod(p_i^2, i<last) * p_last
+#: every prime must avoid the excluded class 1 (mod stride)
 FAMILY_THEOREMS = {
-    "thm3.2": dict(spec=BiregularSpec(2, 9), stride=6, scale=1, modulus=8,
-                   bad_class=1, class_mod=6, min_p=5,
+    "thm3.2": dict(spec=SPEC29, stride=6, scale=1, modulus=8, min_p=5,
                    source="Theorem on 6 p^2-progressions mod 8 for (2,9)"),
-    "thm3.6": dict(spec=BiregularSpec(2, 9), stride=6, scale=3, modulus=3,
-                   bad_class=1, class_mod=6, min_p=5,
+    "thm3.6": dict(spec=SPEC29, stride=6, scale=3, modulus=3, min_p=5,
                    source="Theorem on 18 p^2-progressions mod 3 for (2,9)"),
     "thm4.8.t3": dict(spec=BiregularSpec(5, 8), stride=4, scale=1, modulus=8,
-                      bad_class=1, class_mod=4, min_p=3,
+                      min_p=3,
                       source="Theorem on 4 p^2-progressions mod 8 for (5,8)"),
     "thm4.8.t4": dict(spec=BiregularSpec(5, 16), stride=4, scale=1, modulus=8,
-                      bad_class=1, class_mod=4, min_p=3,
+                      min_p=3,
                       source="Theorem on 4 p^2-progressions mod 8 for (5,16)"),
-    "thm18": dict(spec=BiregularSpec(5, 2), stride=4, scale=1, modulus=4,
-                  bad_class=1, class_mod=4, min_p=3,
+    "thm18": dict(spec=SPEC52, stride=4, scale=1, modulus=4, min_p=3,
                   source="Theorem on 4 p^2-progressions mod 4 for (5,2)"),
-    "thm5.8": dict(spec=BiregularSpec(5, 4), stride=4, scale=1, modulus=4,
-                   bad_class=1, class_mod=4, min_p=3,
+    "thm5.8": dict(spec=SPEC54, stride=4, scale=1, modulus=4, min_p=3,
                    source="Theorem on 4 p^2-progressions mod 4 for (5,4)"),
 }
 
@@ -377,10 +377,9 @@ def instantiate_family(
             raise ValueError(f"{p} is not prime")
         if p < cfg["min_p"]:
             raise ValueError(f"prime {p} below the smallest admissible {cfg['min_p']}")
-        if p % cfg["class_mod"] == cfg["bad_class"]:
+        if p % cfg["stride"] == 1:
             raise ValueError(
-                f"prime {p} lies in the excluded class "
-                f"{cfg['bad_class']} mod {cfg['class_mod']}"
+                f"prime {p} lies in the excluded class 1 mod {cfg['stride']}"
             )
         if math.gcd(p, cfg["spec"].l1 * cfg["spec"].l2 * cfg["stride"]) > 1:
             raise ValueError(f"prime {p} divides the ambient level data")

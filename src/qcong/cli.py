@@ -32,6 +32,14 @@ from .series import ZZ, mod_ring
 USAGE_ERROR = 2
 
 
+def _positive_int(text: str) -> int:
+    """Type of --order, --terms, --nmax and --amax.  Its SystemExit passes
+    through argparse, so main reports it as a usage error."""
+    if not text.isdigit() or int(text) < 1:
+        raise SystemExit(f"a count must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_spec(text: str) -> BiregularSpec:
     try:
         l1, l2 = (int(x) for x in text.split(","))
@@ -239,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, help="regularity modulus for --gf regular")
     p.add_argument("--m", type=int, default=1, help="index for --gf pochhammer")
     p.add_argument("--eta", help="eta-quotient spec D:R,D:R,... for --gf eta")
-    p.add_argument("--order", type=int, default=20)
+    p.add_argument("--order", type=_positive_int, default=20)
     p.add_argument("--ring", choices=["exact", "mod"], default="exact")
     p.add_argument("--mod", type=int, help="modulus for --ring mod")
     p.set_defaults(func=cmd_expand)
@@ -247,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-lemma", help="verify a dissection identity "
                                             "or the prime-power product lemma")
     p.add_argument("id", help="identity id (eq0..eq10f) or 'lem2.9'")
-    p.add_argument("--order", type=int, default=200)
+    p.add_argument("--order", type=_positive_int, default=200)
     p.add_argument("--p", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
@@ -255,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-claim", help="verify one congruence claim by id")
     p.add_argument("id")
-    p.add_argument("--nmax", type=int)
+    p.add_argument("--nmax", type=_positive_int)
     p.add_argument("--ring", choices=["exact", "mod"], default="mod")
     p.set_defaults(func=cmd_verify_claim)
 
     p = sub.add_parser("verify-all", help="run the whole claim catalogue")
     p.add_argument("--filter", help="substring filter on claim id or spec")
-    p.add_argument("--nmax", type=int, help="cap every claim range at this n")
+    p.add_argument("--nmax", type=_positive_int, help="cap every claim range at this n")
     p.add_argument("--json", help="write the JSON report here")
     p.add_argument("--ring", choices=["exact", "mod"], default="mod")
     p.set_defaults(func=cmd_verify_all)
@@ -269,19 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-derivations", help="replay every derivation-chain "
                                                   "record; only undocumented "
                                                   "outcomes fail")
-    p.add_argument("--terms", type=int, default=45,
+    p.add_argument("--terms", type=_positive_int, default=45,
                    help="coefficients checked per record")
     p.set_defaults(func=cmd_verify_derivations)
 
     p = sub.add_parser("oracle-compare", help="series vs brute-force counts")
     p.add_argument("--spec", required=True, help="L1,L2")
-    p.add_argument("--nmax", type=int, default=40)
+    p.add_argument("--nmax", type=_positive_int, default=40)
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("hecke-check", help="eigenform and support checks")
     p.add_argument("--form", choices=list(HECKE_FORMS), required=True)
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=40)
+    p.add_argument("--nmax", type=_positive_int, default=40)
     p.set_defaults(func=cmd_hecke_check)
 
     p = sub.add_parser("modform-check", help="eta-quotient transformation "
@@ -293,24 +301,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search a box for vanishing congruences")
     p.add_argument("--spec", required=True, action="append",
                    help="L1,L2; repeat to search several pairs")
-    p.add_argument("--amax", type=int, required=True)
+    p.add_argument("--amax", type=_positive_int, required=True)
     p.add_argument("--mods", required=True, help="comma-separated moduli")
-    p.add_argument("--nmax", type=int, default=60)
+    p.add_argument("--nmax", type=_positive_int, default=60)
     p.set_defaults(func=cmd_search)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    # argparse exits 2 on a usage error itself
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(f"error: {exc.code}", file=sys.stderr)
-            return USAGE_ERROR
-        return exc.code if exc.code is not None else 0
+        if not isinstance(exc.code, str):
+            raise  # argparse has printed its own usage error
+        print(f"error: {exc.code}", file=sys.stderr)
+        return USAGE_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .arith import ModularityReport, is_prime, kronecker, modularity_check
 from .etaq import EtaQuotient, materialize_eta, pochhammer_product
-from .series import CheckResult, QSeries, Ring, ZZ
+from .series import CheckResult, QSeries, Ring, ZZ, congruent_upto
 
 #: eta(6z)^4 = q f(6)^4 on level 36
 ETA6_4 = EtaQuotient.of({6: 4}, level=36)
@@ -47,19 +47,9 @@ def apply_tp(
     if not ctx.weight_integral:
         raise ValueError(f"T_{p} needs an integral weight, got {ctx.weight}")
     out_order = a.order // p if n_max is None else n_max
-    if a.order < p * out_order:
-        raise ValueError(
-            f"input order {a.order} cannot certify T_{p} output to {out_order}"
-        )
     chi_p_pk = ctx.character(p) * p ** (ctx.weight.numerator - 1)
-    red = a.ring.reduce
-    coeffs = []
-    for n in range(out_order + 1):
-        value = a.coeffs[p * n]
-        if n % p == 0:
-            value += chi_p_pk * a.coeffs[n // p]
-        coeffs.append(red(value))
-    return QSeries(a.ring, tuple(coeffs))
+    return (a.extract(p, 0).truncate(out_order)
+            + a.truncate(out_order).dilate(p, cap=out_order).scale(chi_p_pk))
 
 
 @dataclass(frozen=True)
@@ -87,24 +77,20 @@ def eigen_check(a: QSeries, p: int, ctx: ModularityReport, n_max: int) -> EigenR
         raise ValueError(f"need order >= {p * n_max} to check to n_max={n_max}")
     image = apply_tp(a, p, ctx, n_max)
     lam = image[1]
-    for n in range(n_max + 1):
-        if image.coeffs[n] != a.ring.reduce(lam * a.coeffs[n]):
-            return EigenResult(
-                False, None, n,
-                f"T_{p} image differs from {lam} * series at n={n}",
-            )
+    res = congruent_upto(image, a.truncate(n_max).scale(lam), None, n_max)
+    if not res:
+        n = res.index
+        return EigenResult(False, None, n,
+                           f"T_{p} image differs from {lam} * series at n={n}")
     return EigenResult(True, lam, None, f"eigenvalue {lam} verified to n={n_max}")
 
 
 def vanishing_class_check(a: QSeries, modulus: int, residue: int, n_max: int) -> CheckResult:
     """Do all coefficients vanish outside the class n == residue (mod modulus)?"""
-    if n_max > a.order:
-        raise ValueError(f"n_max {n_max} exceeds certified order {a.order}")
-    for n in range(n_max + 1):
-        if n % modulus != residue and a.coeffs[n] != 0:
-            return CheckResult(
-                False, n, f"nonzero coefficient {a.coeffs[n]} at n={n}"
-            )
+    res = congruent_upto(a, a.on_class(modulus, residue), None, n_max)
+    if not res:
+        n = res.index
+        return CheckResult(False, n, f"nonzero coefficient {a.coeffs[n]} at n={n}")
     return CheckResult(True, None, f"supported on {residue} mod {modulus} to n={n_max}")
 
 
@@ -137,13 +123,13 @@ def newman_check(product: str, p: int, n_max: int) -> CheckResult:
     w = (p - 1) // c
     u = newman_series(product, p * n_max + w)
     sign = -1 if (p - 1) // 2 % 2 else 1
-    symbol = kronecker(dd, p)
-    for n in range(n_max + 1):
-        back = 0
-        if (n - w) % p == 0 and (n - w) // p >= 0:
-            back = u.coeffs[(n - w) // p]
-        expected = u.coeffs[w] * u.coeffs[n] - sign * symbol * back
-        got = u.coeffs[p * n + w]
-        if got != expected:
-            return CheckResult(False, n, f"u({p}*{n}+{w}) = {got}, expected {expected}")
+    head = u.truncate(n_max)
+    # u((n - w)/p) sits at q^n of u(q^p) q^w, and is 0 off that class
+    back = head.dilate(p, cap=n_max).shift(w)
+    expected = head.scale(u[w]) - back.scale(sign * kronecker(dd, p))
+    got = u.extract(p, w)
+    res = congruent_upto(got, expected, None, n_max)
+    if not res:
+        n = res.index
+        return CheckResult(False, n, f"u({p}*{n}+{w}) = {got[n]}, expected {expected[n]}")
     return CheckResult(True, None, f"{product} recursion at p={p} holds to n={n_max}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .etaq import BiregularSpec, biregular_gf
-from .series import ZZ
+from .series import ZZ, QSeries, congruent_upto
 
 EXPLICIT_ENUMERATION_CAP = 25
 
@@ -108,10 +108,7 @@ class OracleComparison:
 def compare_series_vs_oracle(spec: BiregularSpec, n_max: int = 40) -> OracleComparison:
     """Check generating-function coefficients against brute-force counts."""
     series = biregular_gf(spec, n_max, ZZ)
-    mismatches = []
-    for n, expected in enumerate(_weighted_counts(n_max, spec.allows_part)):
-        got = series[n]
-        if got != expected:
-            mismatches.append((n, got, expected))
-            break  # first mismatch aborts; both values reported
-    return OracleComparison(spec, n_max, tuple(mismatches))
+    counts = QSeries(ZZ, tuple(_weighted_counts(n_max, spec.allows_part)))
+    res = congruent_upto(series, counts, None, n_max)  # stops at the first mismatch
+    mismatches = () if res else ((res.index, series[res.index], counts[res.index]),)
+    return OracleComparison(spec, n_max, mismatches)

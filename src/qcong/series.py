@@ -330,6 +330,14 @@ class QSeries:
             raise ValueError(f"residue {r} exceeds certified order {self.order}")
         return QSeries(self.ring, self.coeffs[r :: k])
 
+    def on_class(self, k: int, r: int) -> QSeries:
+        """The part on n == r (mod k): every other coefficient set to 0."""
+        if not 0 <= r < k:
+            raise ValueError(f"residue must lie in [0, {k}), got {r}")
+        out = [0] * len(self.coeffs)
+        out[r::k] = self.coeffs[r::k]
+        return QSeries(self.ring, tuple(out))
+
     def reduce_mod(self, m: int) -> QSeries:
         """Image in ZZ/mZZ (from ZZ or from ZZ/m'ZZ with m | m')."""
         if self.ring.modulus is not None and self.ring.modulus % m != 0:
@@ -360,6 +368,8 @@ def congruent_upto(
                 raise RingMismatchError(
                     f"series in {s.ring!r} has no well-defined residues mod {m}"
                 )
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if n_max > min(a.order, b.order):
         raise ValueError(
             f"n_max {n_max} exceeds certified orders "

@@ -199,3 +199,34 @@ def test_module_entry_point_exit_code():
     )
     assert done.returncode == 2
     assert done.stderr.startswith("error: ")
+
+
+class TestBadCounts:
+    """Counts are integers >= 1 in every subcommand; anything else is a
+    usage error (exit 2 with an ``error:`` line), checked before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--gf", "overpartition", "--order", "-3"],
+        ["expand", "--gf", "overpartition", "--order", "0"],
+        ["verify-lemma", "eq7", "--order", "-1"],
+        ["verify-claim", "prop3.1a", "--nmax", "-1"],
+        ["verify-claim", "thm8.1a.t2", "--nmax", "0"],
+        ["verify-all", "--nmax", "-1"],
+        ["verify-derivations", "--terms", "-5"],
+        ["oracle-compare", "--spec", "2,9", "--nmax", "-1"],
+        ["hecke-check", "--form", "eta6_4", "--prime", "5", "--nmax", "-2"],
+        ["search", "--spec", "2,9", "--amax", "0", "--mods", "4"],
+        ["search", "--spec", "2,9", "--amax", "4", "--mods", "4", "--nmax", "-1"],
+        ["expand", "--gf", "overpartition", "--order", "ten"],
+    ])
+    def test_bad_count_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "count" in captured.err
+
+    def test_count_of_one_is_accepted(self, capsys):
+        assert run(["expand", "--gf", "overpartition", "--order", "1"]) == 0
+        assert capsys.readouterr().out.strip() == "1 2"
+        assert run(["verify-claim", "thm8.1a.t2", "--nmax", "1"]) == 0
+        assert "n in [1, 1]" in capsys.readouterr().out
