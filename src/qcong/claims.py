@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, Union
 
+from .arith import factorize, is_prime
 from .derivations import SPEC29, SPEC52, SPEC54
 from .dissect import SeriesExpr, eval_expr
 from .etaq import BiregularSpec, biregular_gf
@@ -219,22 +220,35 @@ class VerificationReport:
         return f"[{mark}] {self.claim_id:24s} {self.range_checked}{extra}"
 
 
+SeriesKey = tuple[BiregularSpec, tuple[int, ...]]
+
+
+def series_key(claim: Claim, exact: bool = False) -> SeriesKey:
+    """The counting series a claim reads: in ZZ one per spec, else one per
+    spec and set of primes dividing the claim's modulus."""
+    return claim.spec, (() if exact else tuple(factorize(claim.modulus)))
+
+
 def build_series(
     claims: Iterable[Claim], exact: bool = False
-) -> dict[BiregularSpec, QSeries]:
-    """Build, once per spec, the counting series the claims on it need.
+) -> dict[SeriesKey, QSeries]:
+    """Build, once per ``series_key``, the counting series its claims need.
 
     Each series reaches the deepest index its claims read.  It lies in ZZ
     when ``exact``, else in ZZ/LZ with L the lcm of the claims' moduli:
-    every check reduces mod its claim's modulus, which divides L.
+    every check reduces mod its claim's modulus, which divides L.  Claims
+    mod powers of one prime share a series, so mod-2^k claims read a
+    lattice-sum build and mod-3 claims a division build, each only as deep
+    as they need; a claim whose modulus has two or more primes gets its own.
     """
-    plan: dict[BiregularSpec, tuple[int, int]] = {}
+    plan: dict[SeriesKey, tuple[int, int]] = {}
     for claim in claims:
-        order, lcm = plan.get(claim.spec, (0, 1))
-        plan[claim.spec] = (max(order, claim.max_index()),
-                            math.lcm(lcm, claim.modulus))
-    return {spec: biregular_gf(spec, order, Ring(None if exact else lcm))
-            for spec, (order, lcm) in plan.items()}
+        key = series_key(claim, exact)
+        order, lcm = plan.get(key, (0, 1))
+        plan[key] = (max(order, claim.max_index()),
+                     math.lcm(lcm, claim.modulus))
+    return {key: biregular_gf(key[0], order, Ring(None if exact else lcm))
+            for key, (order, lcm) in plan.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +271,7 @@ def _verifier(check: Callable):
         claim: Claim, gf: QSeries | None = None, exact: bool = False
     ) -> VerificationReport:
         if gf is None:
-            gf = build_series([claim], exact)[claim.spec]
+            gf = build_series([claim], exact)[series_key(claim, exact)]
         t0 = time.perf_counter()
         status, counter, checked, note = check(claim, gf)
         return VerificationReport(
@@ -365,8 +379,6 @@ def instantiate_family(
     ``primes_list`` is p_1 .. p_{k+1}; every prime must avoid the excluded
     residue class, and j must not be divisible by the last prime.
     """
-    from .arith import is_prime
-
     if theorem not in FAMILY_THEOREMS:
         raise ValueError(f"unknown family theorem {theorem!r}")
     cfg = FAMILY_THEOREMS[theorem]
@@ -412,7 +424,7 @@ def run_catalogue(
     exact: bool = False,
 ) -> list[VerificationReport]:
     """Verify claims in catalogue order; deterministic report list.
-    Each spec's series is built once, before the first check."""
+    Each ``series_key``'s series is built once, before the first check."""
     from .catalogue import builtin_catalogue
 
     if claims is None:
@@ -425,7 +437,8 @@ def run_catalogue(
         or filter_substring in str(claim.spec)
     ]
     series = build_series(chosen, exact)
-    return [verify_claim(claim, series[claim.spec], exact) for claim in chosen]
+    return [verify_claim(claim, series[series_key(claim, exact)], exact)
+            for claim in chosen]
 
 
 @dataclass(frozen=True)
@@ -452,6 +465,12 @@ def search_congruences(
             raise ValueError(f"modulus must be >= 2, got {m}")
     if n_max < MIN_EVIDENCE:
         raise ValueError(f"n_max {n_max} below the evidence floor {MIN_EVIDENCE}")
+    order = a_max * (n_max + 1)
+    if order > CLAIM_INDEX_LIMIT:
+        raise ValueError(
+            f"search needs coefficient {order}, beyond the supported limit "
+            f"{CLAIM_INDEX_LIMIT}"
+        )
     from .catalogue import builtin_catalogue
 
     known = {
@@ -459,7 +478,7 @@ def search_congruences(
         for c in builtin_catalogue()
         if isinstance(c, VanishingClaim) and c.spec == spec and c.n_min == 0
     }
-    gf = biregular_gf(spec, a_max * (n_max + 1), Ring(math.lcm(*moduli)))
+    gf = biregular_gf(spec, order, Ring(math.lcm(*moduli)))
     hits = []
     for a in range(1, a_max + 1):
         for b in range(a):

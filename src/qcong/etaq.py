@@ -7,7 +7,9 @@ counting series is built from theta functions instead: with
 phi(-q^l) = f(l)^2/f(2l), its eta-product is a quotient of four sparse
 phi factors (see ``biregular_gf``), and the eta-product expansion
 (``pochhammer_product(biregular_factors(spec), ...)``) is kept as its
-cross-check.
+cross-check.  Mod 2, 4 and 8 that quotient has no denominator: the series
+is a sum of single-square and binary-form lattice sums
+(``_theta_lattice``), which the division build checks in the tests.
 """
 
 from __future__ import annotations
@@ -70,6 +72,11 @@ class EtaQuotient:
         return dict(self.terms)
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"truncation order must be >= 0, got {order}")
+
+
 def _pentagonal_coeffs(order: int) -> list[int]:
     # Euler: prod (1-q^n) = sum_{k in Z} (-1)^k q^{k(3k-1)/2}
     out = [0] * (order + 1)
@@ -98,6 +105,7 @@ def pochhammer(m: int, order: int, ring: Ring = ZZ, method: str = "pentagonal") 
     """
     if m < 1:
         raise ValueError(f"Pochhammer index must be >= 1, got {m}")
+    _check_order(order)
     if method == "pentagonal":
         if m == 1:
             return QSeries.make(_pentagonal_coeffs(order), ring)
@@ -231,16 +239,67 @@ def _divide_by_theta(coeffs: list[int], l: int, ring: Ring) -> None:
         coeffs[n] = reduce(acc)
 
 
+#: rings in which ``biregular_gf`` writes the series as lattice sums
+_LATTICE_MODULI = (2, 4, 8)
+
+
+def _theta_lattice(l1: int, l2: int, order: int, m: int) -> list[int]:
+    """Coefficients of B(l1,l2) through q^order in Z/m, m in 2, 4, 8.
+
+    With phi(-q^l) = 1 + 2 T_l, T_l = sum_{k>=1} (-1)^k q^{l k^2}, and
+    1/(1 + 2x) == 1 - 2x + 4x^2 (mod 8), the quotient has no denominator:
+    B == 1 + 2 (T_l1 + T_l2 - T_1 - T_L) + 4 Q (mod 8), L = l1 l2.  Only Q
+    mod 2 counts, and there T_a T_b == sum_{j,k>=1} q^{a j^2 + b k^2} and
+    T_l^2 == sum_{k>=1} q^{2 l k^2}; Q holds the six pairs a < b of
+    {1, l1, l2, L} and the squares T_1^2, T_L^2 of the denominator.
+    Mod 4 the 4 Q term drops, and mod 2 only the constant is left.
+    """
+    out = [0] * (order + 1)
+    out[0] = 1
+    if m == 2:
+        return out
+    L = l1 * l2
+    for l, sign in ((l1, 1), (l2, 1), (1, -1), (L, -1)):
+        for e, s in _theta_terms(l, order)[1:]:
+            out[e] += sign * s
+    if m == 8:
+        ls = (1, l1, l2, L)
+        squares = {l: [l * k * k for k in range(1, math.isqrt(order // l) + 1)]
+                   for l in ls}
+        for i, a in enumerate(ls):
+            for b in ls[i + 1:]:
+                # the denser form inside, so each inner loop runs long
+                outer, inner = squares[max(a, b)], squares[min(a, b)]
+                for x in outer:
+                    for y in inner:
+                        if x + y > order:
+                            break
+                        out[x + y] += 4
+        for l in (1, L):
+            for e in squares[l]:
+                if 2 * e > order:
+                    break
+                out[2 * e] += 4
+    return [c % m for c in out]
+
+
 @lru_cache(maxsize=256)
 def biregular_gf(spec: BiregularSpec, order: int, ring: Ring = ZZ) -> QSeries:
     """Coefficient at n counts (l1,l2)-biregular overpartitions of n.
 
     The eta-product of ``biregular_factors`` pairs up into the theta quotient
     phi(-q^l1) phi(-q^l2) / (phi(-q) phi(-q^(l1 l2))), whose factors have
-    about sqrt(order/l) terms each.  The numerator is one sparse product,
-    and each denominator factor divides it in place in O(order sqrt(order/l))
-    steps, with no Newton iteration and no Kronecker product.
+    about sqrt(order/l) terms each.  In Z/2, Z/4 and Z/8 the quotient is a
+    sum of lattice sums (``_theta_lattice``), written straight out.  In
+    every other ring, ZZ included, the numerator is one sparse product,
+    and each denominator factor divides it in place in
+    O(order sqrt(order/l)) steps, with no Newton iteration and no
+    Kronecker product.
     """
+    _check_order(order)
+    if ring.modulus in _LATTICE_MODULI:
+        coeffs = _theta_lattice(spec.l1, spec.l2, order, ring.modulus)
+        return QSeries(ring, tuple(coeffs))
     num = _theta_product(spec.l1, spec.l2, order)
     # the sparser factor first, while exact coefficients are still small
     for l in (spec.l1 * spec.l2, 1):

@@ -4,6 +4,7 @@ import pytest
 
 from qcong.catalogue import KNOWN_FAILING, RESTATES, builtin_catalogue, claim_by_id
 from qcong.claims import (
+    CLAIM_INDEX_LIMIT,
     MultiplicativeClaim,
     NewmanConditionalClaim,
     SeriesCongruenceClaim,
@@ -13,6 +14,7 @@ from qcong.claims import (
     reports_to_json,
     run_catalogue,
     search_congruences,
+    series_key,
     verify_claim,
     verify_multiplicative,
     verify_newman_conditional,
@@ -225,23 +227,50 @@ class TestBuildSeries:
         VanishingClaim("other", SPEC52, 4, 3, 4, 25),
     ]
 
-    def test_one_series_per_spec_mod_lcm(self):
+    def test_one_series_per_spec_and_prime(self):
         series = build_series(self.CLAIMS)
-        assert set(series) == {SPEC29, SPEC52}
-        assert series[SPEC29].ring == Ring(24)
-        assert series[SPEC29].order == 18 * 20 + 5
-        assert series[SPEC52].ring == Ring(4)
-        assert series[SPEC52].order == 4 * 25 + 3
+        assert {key: (gf.ring, gf.order) for key, gf in series.items()} == {
+            (SPEC29, (3,)): (Ring(3), 18 * 20 + 5),
+            (SPEC29, (2,)): (Ring(8), 6 * 30 + 5),
+            (SPEC52, (2,)): (Ring(4), 4 * 25 + 3),
+        }
+
+    def test_prime_power_group_reaches_its_deepest_claim(self):
+        # the mod-4 claim reads deeper than the mod-8 one: one Z/8 series
+        deep4 = VanishingClaim("d4", SPEC29, 6, 3, 4, 50)
+        series = build_series(self.CLAIMS + [deep4])
+        assert series[(SPEC29, (2,))].ring == Ring(8)
+        assert series[(SPEC29, (2,))].order == 6 * 50 + 3
+        assert series[(SPEC29, (3,))].order == 18 * 20 + 5
+
+    def test_composite_modulus_gets_its_own_series(self):
+        m6 = VanishingClaim("m6", SPEC29, 6, 5, 6, 40)
+        series = build_series(self.CLAIMS + [m6])
+        assert series_key(m6) == (SPEC29, (2, 3))
+        gf = series[(SPEC29, (2, 3))]
+        assert (gf.ring, gf.order) == (Ring(6), 6 * 40 + 5)
+        assert series[(SPEC29, (2,))].ring == Ring(8)
+        assert series[(SPEC29, (3,))].ring == Ring(3)
 
     def test_exact_plan_builds_in_zz(self):
         series = build_series(self.CLAIMS, exact=True)
-        assert {spec: (gf.ring, gf.order) for spec, gf in series.items()} == {
-            SPEC29: (ZZ, 365), SPEC52: (ZZ, 103)}
+        assert {key: (gf.ring, gf.order) for key, gf in series.items()} == {
+            (SPEC29, ()): (ZZ, 365), (SPEC52, ()): (ZZ, 103)}
+        assert all(series_key(c, exact=True) == (c.spec, ()) for c in self.CLAIMS)
 
     def test_residues_match_exact_series(self):
-        series = build_series(self.CLAIMS)[SPEC29]
-        exact = biregular_gf(SPEC29, series.order, ZZ)
-        assert series.coeffs == tuple(c % 24 for c in exact.coeffs)
+        for (spec, _), gf in build_series(self.CLAIMS).items():
+            exact = biregular_gf(spec, gf.order, ZZ)
+            m = gf.ring.modulus
+            assert gf.coeffs == tuple(c % m for c in exact.coeffs)
+
+    def test_verifier_reads_its_own_group(self):
+        # a claim verified alone and in the full plan reads the same residues
+        for claim in self.CLAIMS:
+            alone = verify_claim(claim)
+            planned = run_catalogue(self.CLAIMS, filter_substring=claim.id)[0]
+            assert (alone.status, alone.counterexample) == (
+                planned.status, planned.counterexample)
 
 
 class TestSearch:
@@ -285,6 +314,15 @@ class TestSearch:
     def test_empty_moduli_rejected(self):
         with pytest.raises(ValueError):
             search_congruences(SPEC29, 4, [], 30)
+
+    def test_build_order_capped_at_claim_index_limit(self):
+        # a_max * (n_max + 1) is the build order; one past the limit is refused
+        with pytest.raises(ValueError, match="beyond the supported limit"):
+            search_congruences(SPEC29, 1, [4], CLAIM_INDEX_LIMIT)
+        with pytest.raises(ValueError, match="beyond the supported limit"):
+            search_congruences(SPEC29, 5, [4, 8], 100_000)
+        # at the limit it runs: B(0) = 1 is odd, so 1n+0 is no hit mod 2
+        assert search_congruences(SPEC29, 1, [2], CLAIM_INDEX_LIMIT - 1) == []
 
 
 class TestReports:

@@ -166,6 +166,14 @@ class TestUsageErrors:
                     "--mods", "4", "--nmax", "9"]) == 2
         assert "evidence floor 10" in capsys.readouterr().err
 
+    def test_search_over_the_order_limit_is_usage_error(self, capsys):
+        # 5 * (100000 + 1) = 500005 coefficients, refused before any build
+        assert run(["search", "--spec", "2,9", "--amax", "5", "--mods", "4",
+                    "--nmax", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "500005" in captured.err
+
     def test_hecke_check_nmax_zero_is_usage_error(self, capsys):
         assert run(["hecke-check", "--form", "eta4_20", "--prime", "5",
                     "--nmax", "0"]) == 2

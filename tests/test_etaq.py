@@ -180,6 +180,38 @@ class TestThetaBuild:
         assert series == overpartition_gf(order, ring)
 
 
+class TestLatticeBuild:
+    """In Z/2, Z/4 and Z/8 ``biregular_gf`` writes the series as lattice
+    sums; the Z/24 division build, reduced, is the cross-check."""
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    @pytest.mark.parametrize("spec", list(CATALOGUE_LCMS), ids=str)
+    def test_catalogue_spec(self, spec, m):
+        division = biregular_gf(spec, 6000, Ring(24))
+        lattice = biregular_gf(spec, 6000, Ring(m))
+        assert lattice.ring == Ring(m)
+        assert lattice.coeffs == tuple(c % m for c in division.coeffs)
+
+    def test_2_9_to_the_deepest_catalogue_index(self):
+        order = 59125
+        division = biregular_gf(BiregularSpec(2, 9), order, Ring(24))
+        lattice = biregular_gf(BiregularSpec(2, 9), order, Ring(8))
+        assert lattice.coeffs == tuple(c % 8 for c in division.coeffs)
+
+
+class TestNegativeOrder:
+    @pytest.mark.parametrize("ring", [ZZ, Ring(3), Ring(8)], ids=repr)
+    def test_biregular_gf(self, ring):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            biregular_gf(BiregularSpec(2, 9), -1, ring)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("method", ["pentagonal", "product"])
+    def test_pochhammer(self, m, method):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            pochhammer(m, -1, ZZ, method)
+
+
 coprime_pairs = st.tuples(st.integers(2, 40), st.integers(2, 40)).filter(
     lambda pair: math.gcd(*pair) == 1
 )
